@@ -413,7 +413,7 @@ bool run_cancel_check(bench::BenchJson& json) {
 // is served from a cache and the solver cost dominates — the regime where
 // horizontal fan-out across worker processes must pay.  Two gates: the
 // sharded output must be byte-identical to single-process serving (exact
-// hexfloat wire round-trip, the sharding transparency contract), and on a
+// raw-bit wire round-trip, the sharding transparency contract), and on a
 // multi-core host throughput with 2 shards must strictly beat 1 shard.
 // Emits BENCH_shard.json.
 //
@@ -481,8 +481,8 @@ bool run_sharded_vs_single(const service::SolverRegistry& registry,
   add("single-process (1 thread)", "single_process", single_seconds,
       shard_seconds[0]);
 
-  // Data plane: the same cache-miss-heavy batch with the transport forced
-  // to shm rings and to socketpair frames, at 1/2/4 shards.  The gated
+  // Data plane: the same cache-miss-heavy batch over the default shm rings
+  // (`auto`) and forced to socketpair frames, at 1/2/4 shards.  The gated
   // floor is the tentpole's claim: on a multi-core host, 2 shards over shm
   // must clear 1.5x the single-process wall time.  Socketpair rows make
   // the plane's own contribution visible next to the fork-parallelism win.
@@ -496,7 +496,7 @@ bool run_sharded_vs_single(const service::SolverRegistry& registry,
     const struct {
       shard::DataPlaneMode mode;
       const char* name;
-    } planes[] = {{shard::DataPlaneMode::Shm, "shm"},
+    } planes[] = {{shard::DataPlaneMode::Auto, "shm"},
                   {shard::DataPlaneMode::Socketpair, "socketpair"}};
     for (const auto& plane : planes) {
       for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
@@ -507,7 +507,7 @@ bool run_sharded_vs_single(const service::SolverRegistry& registry,
         options.data_plane = plane.mode;
         shard::ShardRouter router(registry, options);
         const auto report = router.run(batch);
-        if (plane.mode == shard::DataPlaneMode::Shm && shards == 2) {
+        if (plane.mode == shard::DataPlaneMode::Auto && shards == 2) {
           shm_2shard_seconds = report.wall_seconds;
         }
         plane_table.add_row(

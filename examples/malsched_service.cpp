@@ -94,7 +94,7 @@ int usage(const char* prog) {
                "[--cache-capacity W] [--cache-ttl S] [--no-cache] "
                "[--queue-capacity N] [--fifo] [--shards N] "
                "[--workers host:port,...] [--replication R] "
-               "[--data-plane auto|shm|socketpair] [--stats]\n"
+               "[--data-plane auto|socketpair] [--stats]\n"
                "       %s <batch-file> --workers ... --standby host:port "
                "[--heartbeat-interval MS]\n"
                "       %s <batch-file> --workers ... --standby-listen "
@@ -198,8 +198,6 @@ int main(int argc, char** argv) {
       const char* plane = argv[++i];
       if (std::strcmp(plane, "auto") == 0) {
         data_plane = shard::DataPlaneMode::Auto;
-      } else if (std::strcmp(plane, "shm") == 0) {
-        data_plane = shard::DataPlaneMode::Shm;
       } else if (std::strcmp(plane, "socketpair") == 0) {
         data_plane = shard::DataPlaneMode::Socketpair;
       } else {

@@ -64,13 +64,10 @@ inline constexpr ErrorCode kAllErrorCodes[] = {
     std::string_view name) noexcept;
 
 /// Escapes free text (quotes, backslashes, newlines) for embedding in the
-/// one-line-per-request result stream (`message="..."`).  The human output
-/// of write_results and the shard wire protocol are deliberately one
-/// dialect, so both must share this single implementation — diverging
-/// escape rules would break the byte-identical sharded-output contract.
+/// one-line-per-request result stream of write_results (`message="..."`),
+/// so client-controlled solver names and error details cannot break the
+/// stream's one-line-per-request shape.
 [[nodiscard]] std::string escape_result_text(const std::string& text);
-/// Inverse of escape_result_text.
-[[nodiscard]] std::string unescape_result_text(const std::string& text);
 
 /// Typed failure: a class plus a human-readable detail message.
 struct SolveError {

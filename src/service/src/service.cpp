@@ -424,7 +424,7 @@ ServiceReport run_service(const BatchSpec& batch,
 void write_results(std::ostream& out, const ServiceReport& report) {
   // Error messages embed client-controlled text (solver/instance names from
   // the batch file); escape so the one-line-per-request stream stays
-  // parseable (escape_result_text is shared with the shard wire protocol).
+  // parseable.
   std::ostringstream line;
   for (std::size_t i = 0; i < report.results.size(); ++i) {
     const SolveResult& r = report.results[i];

@@ -57,24 +57,6 @@ std::string escape_result_text(const std::string& text) {
   return escaped;
 }
 
-std::string unescape_result_text(const std::string& text) {
-  std::string plain;
-  plain.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '\\' || i + 1 == text.size()) {
-      plain += text[i];
-      continue;
-    }
-    ++i;
-    switch (text[i]) {
-      case 'n': plain += '\n'; break;
-      case 'r': plain += '\r'; break;
-      default: plain += text[i]; break;  // covers \" and backslash
-    }
-  }
-  return plain;
-}
-
 namespace {
 
 SolveResult ok_result(double objective, double makespan,

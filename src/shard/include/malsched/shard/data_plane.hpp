@@ -4,22 +4,22 @@
 /// The data-plane seam of sharded serving: how instance/solve/result
 /// payloads move between the router and a worker, separated from the
 /// *control* plane (hello/ping/stats/drain), which always rides the
-/// socketpair/TCP fd.
+/// socketpair/TCP fd.  Both planes carry the same binary data frames
+/// (wire.hpp); only the path differs.
 ///
-///   * SocketpairDataPlane — data frames share the control fd, exactly the
-///     pre-seam behavior: length-prefixed text frames through the kernel.
-///     The TCP fleet and the shm fallback path use it.
+///   * SocketpairDataPlane — data frames share the control fd:
+///     length-prefixed frames through the kernel.  The TCP fleet and the
+///     shm fallback path use it.
 ///   * ShmDataPlane — data frames ride a ShmChannel: a pair of SPSC rings
 ///     (requests router→worker, responses worker→router) in one anonymous
-///     MAP_SHARED region created before fork, futex sleep/wake, binary
-///     wire dialect.  The fd stays open beside it as the control plane,
-///     the dead-peer detector (POLLHUP = worker gone), and the overflow
-///     path for frames bigger than a ring.
+///     MAP_SHARED region created before fork, futex sleep/wake.  The fd
+///     stays open beside it as the control plane, the dead-peer detector
+///     (POLLHUP = worker gone), and the overflow path for frames bigger
+///     than a ring.
 ///
 /// Both impls speak through one status vocabulary (net::RingStatus) and
 /// one deadline-based send/recv contract, so the router's streaming loop
-/// and failover logic are plane-blind; `dialect()` tells callers which
-/// wire encoding to hand to send().
+/// and failover logic are plane-blind.
 ///
 /// A ShmChannel is created by the router before fork (the fork-without-
 /// exec contract makes the mapping and every pointer into it valid in the
@@ -34,7 +34,6 @@
 #include <string>
 
 #include "malsched/net/shm.hpp"
-#include "malsched/shard/wire.hpp"
 
 namespace malsched::shard {
 
@@ -64,9 +63,6 @@ class DataPlane {
   DataPlane& operator=(const DataPlane&) = delete;
 
   [[nodiscard]] virtual const char* name() const = 0;
-  /// Which wire encoding to pass to send() — binary over shm, text over
-  /// the fd.  Decoders sniff, so recv() payloads need no dispatch.
-  [[nodiscard]] virtual wire::Dialect dialect() const = 0;
 
   /// Sends one data frame, blocking under backpressure until `deadline`.
   /// Ok / TooBig (nothing sent; the frame can never fit — shm only) /
@@ -132,17 +128,14 @@ class ShmChannel {
   net::Doorbell* doorbell_ = nullptr;
 };
 
-/// Data frames over the control fd — the pre-seam wire, unchanged: text
-/// dialect, kernel socket buffers, POLLHUP as the death signal.
+/// Data frames over the control fd: kernel socket buffers, POLLHUP as the
+/// death signal.
 class SocketpairDataPlane final : public DataPlane {
  public:
   /// Does not own `fd`; the transport does.
   explicit SocketpairDataPlane(int fd) : fd_(fd) {}
 
   [[nodiscard]] const char* name() const override { return "socketpair"; }
-  [[nodiscard]] wire::Dialect dialect() const override {
-    return wire::Dialect::Text;
-  }
   [[nodiscard]] net::RingStatus send(
       const std::string& payload,
       std::chrono::steady_clock::time_point deadline) override;
@@ -158,7 +151,7 @@ class SocketpairDataPlane final : public DataPlane {
   std::uint64_t frames_in_ = 0, bytes_in_ = 0;
 };
 
-/// Data frames over a ShmChannel, binary dialect.  The fd is carried
+/// Data frames over a ShmChannel.  The fd is carried
 /// alongside (not owned) for two jobs the rings cannot do: detecting a
 /// dead peer (POLLHUP) and receiving oversize frames the peer diverted to
 /// the control plane — recv() checks the ring first, then the fd, so the
@@ -174,9 +167,6 @@ class ShmDataPlane final : public DataPlane {
   ShmDataPlane(ShmChannel& channel, Side side, int fd);
 
   [[nodiscard]] const char* name() const override { return "shm"; }
-  [[nodiscard]] wire::Dialect dialect() const override {
-    return wire::Dialect::Binary;
-  }
   [[nodiscard]] net::RingStatus send(
       const std::string& payload,
       std::chrono::steady_clock::time_point deadline) override;

@@ -15,10 +15,11 @@
 ///
 /// Records ride the net/ frame layer (length-prefixed, dead-peer
 /// classified) over the replication connection, which opens with the
-/// versioned `hello` handshake carrying the new `standby` role.  Payloads
-/// are the wire dialect's text grammar — `jresolved` embeds a verbatim
-/// `result` payload (wire.hpp), so results survive replication bit-exactly
-/// for the same reason they survive the worker wire: hexfloats all the way.
+/// versioned `hello` handshake carrying the `standby` role.  Records are
+/// one text line each, except that `jresolved` appends the binary `result`
+/// payload (wire.hpp) verbatim after its header line, so results survive
+/// replication bit-exactly for the same reason they survive the worker
+/// wire: raw IEEE-754 bits, no formatter in the loop.
 ///
 /// Replay is a pure fold: StandbyState::apply consumes records in stream
 /// order and any prefix of the stream yields a consistent state — the

@@ -23,8 +23,8 @@
 /// its ring owners (all `replication` of them), streams `solve` frames to
 /// the primary owner with a bounded in-flight window per worker, and
 /// matches `result` frames back into request order.  Results are
-/// bit-identical to single-process serving — instance bytes and result
-/// doubles cross the wire as exact hexfloats, and each result depends only
+/// bit-identical to single-process serving — instance and result doubles
+/// cross the wire as their raw IEEE-754 bits, and each result depends only
 /// on its own (solver, instance) pair.
 ///
 /// Transports: workers are reached through a net::Transport.  By default
@@ -75,13 +75,12 @@
 
 namespace malsched::shard {
 
-/// Which data plane forked workers get.  Auto and Shm both try shared
-/// memory and fall back to the socketpair when setup fails (counted in
+/// Which data plane forked workers get.  Auto tries shared memory and
+/// falls back to the socketpair when setup fails (counted in
 /// TransportStats::shm_fallbacks) — degrading gracefully beats refusing to
-/// serve, even when the operator asked for shm explicitly.  Socketpair
-/// never tries.  TCP workers always use their connection; this knob is
-/// fork-transport only.
-enum class DataPlaneMode { Auto, Shm, Socketpair };
+/// serve.  Socketpair never tries.  TCP workers always use their
+/// connection; this knob is fork-transport only.
+enum class DataPlaneMode { Auto, Socketpair };
 
 struct RouterOptions {
   /// Worker processes to fork.  Each owns a disjoint arc of the canonical

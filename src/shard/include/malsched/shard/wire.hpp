@@ -10,30 +10,47 @@
 ///     │ length: u32 LE     │ payload: `length` bytes  │
 ///     └────────────────────┴──────────────────────────┘
 ///
-/// Payloads are line-oriented text whose first token names the message type
-/// — deliberately the same key=value grammar `write_results` emits, so the
-/// human batch-output format and the wire format stay one dialect and
-/// `parse_error_code` / `error_code_name` serve both.  Messages:
+/// Data messages (`instance`, `solve`, `result`) are binary, on every path
+/// that carries them: shm rings, the socketpair, TCP, the control-fd divert
+/// of frames too big for a ring, and the standby journal.  A payload opens
+/// with a tag byte >= 0x80 (no text message starts with one); integers are
+/// fixed-width little-endian, strings are a u32 length plus raw bytes, and
+/// doubles travel as their raw IEEE-754 bits through a u64:
+///
+///   router → worker
+///     instance  0x81 name:str P:f64 n:u32 n×(V:f64 δ:f64 w:f64)
+///     solve     0x82 id:u64 token:u64 priority-weight:f64
+///                    has_deadline:u8 [deadline-seconds:f64]
+///                    solver:str instance-name:str
+///
+///   worker → router
+///     result    0x83 id:u64 token:u64 solver:str latency:f64 status:u8
+///                    status 1: objective:f64 makespan:f64 cache_hit:u8
+///                              n:u32 n×completion:f64
+///                    status 0: code:u8 detail:str
+///
+/// "The bits are the value" makes the sharded-vs-single byte-identical
+/// output contract hold by construction — NaN payloads, -0.0 and
+/// subnormals included, with no formatter in the loop.  Length-prefixed
+/// strings need no quoting, so solver names and error details cross
+/// verbatim whatever bytes they hold.  `SolveError` codes travel as their
+/// index in `service::kAllErrorCodes`, so Cancelled / DeadlineExceeded and
+/// friends mean the same thing on both sides of the pipe.
+///
+/// Control messages are one line of text:
 ///
 ///   both directions, first frame of every new connection
 ///     hello malsched-wire <version> <role>
 ///
 ///   router → worker
-///     instance <name>\n<P hexfloat> <n>\n<V δ w hexfloat per line>
-///     solve <id> <token> <priority-weight hex> <deadline-seconds hex | -> <solver> <name>
 ///     ping <seq>
 ///     stats
 ///     drain
 ///
 ///   worker → router
-///     result <id> token=<n> solver=<text> status=ok objective=<hex>
-///            makespan=<hex> cache_hit=<0|1> latency=<hex>
-///            \n<completions, hexfloat per line>
-///     result <id> token=<n> solver=<text> status=error code=<error-code-name>
-///            message="<escaped>" latency=<hex>
 ///     pong <seq>
-///     stats hits=.. misses=.. evictions=.. expired=.. entries=.. weight=..
-///           capacity=..
+///     stats hits=.. misses=.. evictions=.. expired=.. admitted=..
+///           rejected=.. entries=.. weight=.. capacity=..
 ///     drained <results-delivered>
 ///
 /// The `hello` frame is the versioned handshake: both sides send theirs
@@ -52,37 +69,13 @@
 /// workers dedup on token so a request is solved effectively once, and the
 /// router drops whichever duplicate result loses the race.
 ///
-/// Numeric payload fields are hexadecimal floats (`%a` / strtod), so doubles
-/// round-trip bit-exactly across the process boundary — the sharded-vs-
-/// single bit-identical-output contract depends on it (12-digit decimal,
-/// which the human result stream uses, does not round-trip).  `SolveError`
-/// codes travel as their stable kebab-case names, so Cancelled /
-/// DeadlineExceeded and friends mean the same thing on both sides of the
-/// pipe.
-///
-/// The frame reader enforces a maximum payload size so a corrupted length
-/// prefix fails the connection instead of a 4 GiB allocation.
-///
-/// --- dialects ---
-///
-/// The data-bearing messages (`instance`, `solve`, `result`) exist in two
-/// encodings behind the same encode/decode API:
-///
-///   * Dialect::Text — the key=value hexfloat dialect above, shared with
-///     the human result stream.  The TCP fleet and the socketpair data
-///     plane speak it; the version-2 handshake is unchanged.
-///   * Dialect::Binary — the shared-memory data plane's encoding: a tag
-///     byte ≥ 0x80 (which no text message starts with), fixed-width
-///     little-endian integers, and doubles as their raw IEEE-754 bits.
-///     Bit-identical by construction — no format/parse round-trip at all —
-///     and several times cheaper to encode/decode, which is the point on
-///     the per-request hot path.
-///
-/// Decoders sniff the first byte, so a receiver accepts either dialect
-/// without negotiation and `message_type` names binary payloads by the
-/// same strings ("instance"/"solve"/"result").  Control messages (hello,
-/// ping, stats, drain) are text-only: they ride the socketpair control
-/// plane, never the rings.
+/// Decoders are fail-closed: a payload that is truncated, carries trailing
+/// bytes, holds an out-of-range flag or code byte, declares more elements
+/// than its remaining bytes can hold, or (for `instance`) breaks the
+/// core::Instance preconditions decodes to std::nullopt, never to a
+/// partial message, a giant allocation or a contract abort.  The frame reader
+/// enforces a maximum payload size so a corrupted length prefix fails the
+/// connection instead of a 4 GiB allocation.
 
 #include <chrono>
 #include <cstdint>
@@ -98,7 +91,7 @@ namespace malsched::shard::wire {
 
 /// Frame transport (length prefix, dead-peer classification, deadline
 /// reads) lives in malsched/net/frame.hpp; re-exported here so the wire
-/// dialect and its framing stay one API for callers.
+/// messages and their framing stay one API for callers.
 using net::FrameError;
 using net::frame_error_name;
 using net::is_dead_peer_errno;
@@ -114,13 +107,16 @@ using net::write_frame;
 inline constexpr const char* kWireMagic = "malsched-wire";
 
 /// Protocol version, bumped on every incompatible wire change.  History:
-///   1 — PR 5: instance/solve/result/ping/stats/drain over socketpairs.
-///   2 — PR 6: hello handshake itself, idempotency token in solve (new
+///   1 — instance/solve/result/ping/stats/drain over socketpairs.
+///   2 — the hello handshake itself, idempotency token in solve (new
 ///       positional field) and result (token= field).
-///   3 — this PR: stats frames carry the admission counters (admitted=,
+///   3 — stats frames carry the admission counters (admitted=,
 ///       rejected=) — decode requires them, so a v2 stats frame no longer
 ///       parses.
-inline constexpr std::uint32_t kWireProtocolVersion = 3;
+///   4 — instance/solve/result are binary on every transport; the
+///       hexfloat text encoding of those messages is gone, so a v3 peer
+///       is turned away at hello rather than on its first data frame.
+inline constexpr std::uint32_t kWireProtocolVersion = 4;
 
 struct HelloMessage {
   std::uint32_t version = kWireProtocolVersion;
@@ -152,24 +148,21 @@ struct HelloMessage {
 
 /// --- message encoding (pure string builders / parsers) ---
 
-/// Which encoding a data-bearing message is emitted in.  Decoders need no
-/// dialect argument — they sniff the first byte (binary tags are >= 0x80,
-/// text messages start with ASCII).
-enum class Dialect {
-  Text,    ///< key=value hexfloat lines — TCP fleet, socketpair, humans
-  Binary,  ///< tagged LE fixed-width + raw IEEE-754 bits — shm data plane
-};
+/// The one data encoding.  Kept as a single-value enum behind an unnamed
+/// trailing parameter of the encoders so callers that spell
+/// `Dialect::Binary` keep compiling; it selects nothing.
+enum class Dialect { Binary };
 
-/// First payload byte of each binary message; >= 0x80 so no text message
-/// (which starts with a lowercase ASCII keyword) can collide.
+/// First payload byte of each data message; >= 0x80 so no text control
+/// message (which starts with a lowercase ASCII keyword) can collide.
 inline constexpr unsigned char kBinaryInstanceTag = 0x81;
 inline constexpr unsigned char kBinarySolveTag = 0x82;
 inline constexpr unsigned char kBinaryResultTag = 0x83;
 
-/// `instance` message: name plus the bit-exact hexfloat serialization.
+/// `instance` message: name plus the instance's raw-bit serialization.
 [[nodiscard]] std::string encode_instance(const std::string& name,
                                           const core::Instance& instance,
-                                          Dialect dialect = Dialect::Text);
+                                          Dialect = Dialect::Binary);
 struct InstanceMessage {
   std::string name;
   std::optional<core::Instance> instance;
@@ -191,7 +184,7 @@ struct SolveMessage {
   std::string instance_name;
 };
 [[nodiscard]] std::string encode_solve(const SolveMessage& message,
-                                       Dialect dialect = Dialect::Text);
+                                       Dialect = Dialect::Binary);
 [[nodiscard]] std::optional<SolveMessage> decode_solve(
     const std::string& payload);
 
@@ -199,7 +192,7 @@ struct SolveMessage {
 /// exchange id and idempotency token.
 [[nodiscard]] std::string encode_result(std::uint64_t id, std::uint64_t token,
                                         const service::SolveResult& result,
-                                        Dialect dialect = Dialect::Text);
+                                        Dialect = Dialect::Binary);
 struct ResultMessage {
   std::uint64_t id = 0;
   std::uint64_t token = 0;
@@ -213,10 +206,9 @@ struct ResultMessage {
 [[nodiscard]] std::optional<service::CacheStats> decode_stats(
     const std::string& payload);
 
-/// First whitespace-delimited token of a payload — the message type
-/// ("hello", "instance", "solve", "result", "ping", "pong", "stats",
-/// "drain", "drained").  Binary payloads map their tag byte to the same
-/// names, so dispatch loops are dialect-blind.
+/// The message type of a payload: "instance"/"solve"/"result" for a data
+/// tag byte, otherwise the first whitespace-delimited token of a control
+/// line ("hello", "ping", "pong", "stats", "drain", "drained").
 [[nodiscard]] std::string message_type(const std::string& payload);
 
 }  // namespace malsched::shard::wire

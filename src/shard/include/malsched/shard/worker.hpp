@@ -34,12 +34,13 @@
 ///
 /// Data planes: with a ShmChannel (created by the router before fork and
 /// inherited through it), `solve`/`instance` frames arrive on the shared-
-/// memory request ring in the binary dialect and results leave on the
-/// response ring, while the fd carries only control traffic — ping/stats
-/// answered by a dedicated control thread, oversize instances the router
-/// diverted past the ring, `drain`, and EOF (which closes the rings).
-/// Without a channel the fd carries everything, exactly the pre-seam
-/// behavior.
+/// memory request ring and results leave on the response ring, while the
+/// fd carries only control traffic — ping/stats answered by a dedicated
+/// control thread, oversize instances the router diverted past the ring,
+/// `drain`, and EOF (which closes the rings).  Without a channel the fd
+/// carries everything.  Data frames are binary on either plane (wire.hpp),
+/// so a malformed one — truncated, or a pre-v4 text `solve` — is a
+/// protocol error: the worker stops serving and returns 1.
 ///
 /// Lifetime: the worker exits cleanly on `drain` + EOF or bare EOF (router
 /// gone).  It never touches stdout/stderr — it is forked from the router's

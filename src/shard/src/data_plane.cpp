@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "malsched/net/frame.hpp"
+
 namespace malsched::shard {
 
 namespace {

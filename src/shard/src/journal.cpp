@@ -105,9 +105,9 @@ std::string encode_journal(const JournalRecord& record) {
       out << "jflight " << record.token << ' ' << record.request_index;
       break;
     case JournalRecord::Type::Resolved:
-      // The embedded payload is the wire's own `result` grammar, verbatim
-      // (hexfloat doubles, escaped error text): replication preserves
-      // results bit-exactly because the worker wire already had to.
+      // The embedded payload is the wire's own binary `result` message,
+      // verbatim: replication preserves results bit-exactly because the
+      // worker wire already had to.
       out << "jresolved " << record.request_index << '\n'
           << wire::encode_result(0, record.token, record.result);
       break;

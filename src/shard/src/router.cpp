@@ -370,28 +370,19 @@ service::ServiceReport ShardRouter::run(const service::BatchSpec& batch,
         service::canonicalize(instance, canonical_options).key;
     Placed place;
     place.owners = ring_.owners(key, options_.replication);
-    // One encode per dialect in use, shared across owners.
-    std::string text_frame;
-    std::string binary_frame;
+    // One encode, shared across owners and planes.
+    const std::string frame = wire::encode_instance(name, instance);
     for (const std::uint32_t owner : place.owners) {
       Worker& worker = workers_[owner];
       if (!worker.alive) {
         continue;
       }
-      const bool binary = worker.plane->dialect() == wire::Dialect::Binary;
-      std::string& frame = binary ? binary_frame : text_frame;
-      if (frame.empty()) {
-        frame = wire::encode_instance(name, instance, worker.plane->dialect());
-      }
       auto status = worker.plane->send(frame, Clock::now() + kSendBudget);
       if (status == net::RingStatus::TooBig) {
         // An instance bigger than the shm ring is diverted over the
-        // control fd (text dialect); the worker's control thread interns
-        // it.  The ping barrier below orders it before any solve.
-        if (text_frame.empty()) {
-          text_frame = wire::encode_instance(name, instance);
-        }
-        if (wire::write_frame(worker.fd, text_frame)) {
+        // control fd; the worker's control thread interns it.  The ping
+        // barrier below orders it before any solve.
+        if (wire::write_frame(worker.fd, frame)) {
           primed_over_fd[owner] = 1;
           status = net::RingStatus::Ok;
         }
@@ -645,8 +636,7 @@ service::ServiceReport ShardRouter::run(const service::BatchSpec& batch,
         message.deadline_seconds = routed[ri].request->deadline_seconds;
         message.solver = routed[ri].request->solver;
         message.instance_name = routed[ri].request->instance_name;
-        const std::string solve_frame =
-            wire::encode_solve(message, workers_[w].plane->dialect());
+        const std::string solve_frame = wire::encode_solve(message);
         const bool duplicate_send =
             support::faultpoint("router.before_forward") ==
             support::FaultAction::Dup;
@@ -729,7 +719,7 @@ service::ServiceReport ShardRouter::run(const service::BatchSpec& batch,
         }
         ready = workers_[w].plane->recv_ready();
         shm_pending = shm_pending ||
-                      workers_[w].plane->dialect() == wire::Dialect::Binary;
+                      (w < channels_.size() && channels_[w] != nullptr);
       }
       if (!ready) {
         if (shm_pending && doorbell_ != nullptr) {

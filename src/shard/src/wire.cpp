@@ -1,8 +1,6 @@
 #include "malsched/shard/wire.hpp"
 
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -13,29 +11,6 @@
 namespace malsched::shard::wire {
 
 namespace {
-
-// %a prints the shortest exact hexfloat; strtod parses it back to the
-// identical bit pattern — the round-trip the sharded determinism contract
-// rides on.
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-bool parse_hex_double(const std::string& text, double* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 bool parse_u64(const std::string& text, std::uint64_t* out) {
   if (text.empty()) {
@@ -51,66 +26,26 @@ bool parse_u64(const std::string& text, std::uint64_t* out) {
   return true;
 }
 
-// Error detail messages are free text (may embed quotes/newlines); the
-// escape rules are service::escape_result_text — one implementation shared
-// with write_results, since the wire format and the human result stream
-// are one dialect by design.
-
-// key=value field of a space-separated header line; empty when absent.
-// The scan is quote-aware: a `message="... latency=0.5 ..."` value must
-// never shadow the real ` latency=` field that follows it, so key matches
-// inside quoted values are skipped (error details embed arbitrary solver
-// exception text).
+// key=value field of a space-separated control line (`stats hits=...`);
+// empty when absent.  Control values are integers, never quoted.
 std::string field(const std::string& line, const std::string& key) {
-  const std::string needle = key + "=";
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size();) {
-    if (in_quotes) {
-      if (line[i] == '\\') {
-        i += 2;  // step over the escape pair; a trailing '\' just ends
-        continue;
-      }
-      in_quotes = line[i] != '"';
-      ++i;
-      continue;
-    }
-    if (line[i] == '"') {
-      in_quotes = true;
-      ++i;
-      continue;
-    }
-    if ((i == 0 || line[i - 1] == ' ') &&
-        line.compare(i, needle.size(), needle) == 0) {
-      const std::size_t begin = i + needle.size();
-      if (begin < line.size() && line[begin] == '"') {
-        // Quoted value: scan to the closing unescaped quote, stepping over
-        // escape pairs so a trailing `\\` does not hide the real close.
-        std::size_t end = begin + 1;
-        while (end < line.size() && line[end] != '"') {
-          if (line[end] == '\\' && end + 1 < line.size()) {
-            ++end;
-          }
-          ++end;
-        }
-        return line.substr(begin + 1, end - begin - 1);
-      }
-      auto end = line.find(' ', begin);
-      if (end == std::string::npos) {
-        end = line.size();
-      }
-      return line.substr(begin, end - begin);
-    }
-    ++i;
+  const std::string needle = " " + key + "=";
+  const auto at = line.find(needle);
+  if (at == std::string::npos) {
+    return "";
   }
-  return "";
+  const auto begin = at + needle.size();
+  const auto end = line.find(' ', begin);
+  return line.substr(begin, end == std::string::npos ? std::string::npos
+                                                     : end - begin);
 }
 
-// --- binary dialect primitives ---
+// --- data-message primitives ---
 //
 // Fixed-width little-endian integers; doubles travel as their raw IEEE-754
 // bit pattern through a u64.  memcpy (not a reinterpret_cast) keeps both
 // directions free of aliasing/alignment traps, and "the bits are the
-// value" is what makes the dialect bit-identical by construction — NaN
+// value" is what makes the encoding bit-identical by construction — NaN
 // payloads, -0.0 and subnormals included, with no formatter in the loop.
 
 void put_u8(std::string& out, std::uint8_t value) {
@@ -215,11 +150,6 @@ class BinaryReader {
   bool ok_ = true;
 };
 
-bool is_binary(const std::string& payload, unsigned char tag) {
-  return !payload.empty() &&
-         static_cast<unsigned char>(payload[0]) == tag;
-}
-
 }  // namespace
 
 std::string encode_hello(const HelloMessage& message) {
@@ -301,14 +231,17 @@ bool handshake(int fd, const std::string& role,
 }
 
 std::string message_type(const std::string& payload) {
-  if (is_binary(payload, kBinaryInstanceTag)) {
-    return "instance";
-  }
-  if (is_binary(payload, kBinarySolveTag)) {
-    return "solve";
-  }
-  if (is_binary(payload, kBinaryResultTag)) {
-    return "result";
+  if (!payload.empty()) {
+    switch (static_cast<unsigned char>(payload[0])) {
+      case kBinaryInstanceTag:
+        return "instance";
+      case kBinarySolveTag:
+        return "solve";
+      case kBinaryResultTag:
+        return "result";
+      default:
+        break;
+    }
   }
   std::size_t begin = 0;
   while (begin < payload.size() && payload[begin] == ' ') {
@@ -323,347 +256,176 @@ std::string message_type(const std::string& payload) {
 }
 
 std::string encode_instance(const std::string& name,
-                            const core::Instance& instance,
-                            Dialect dialect) {
-  if (dialect == Dialect::Binary) {
-    std::string payload;
-    payload.reserve(1 + 4 + name.size() + 8 + 4 + 24 * instance.size());
-    put_u8(payload, kBinaryInstanceTag);
-    put_string(payload, name);
-    put_f64(payload, instance.processors());
-    put_u32(payload, static_cast<std::uint32_t>(instance.size()));
-    for (const core::Task& task : instance.tasks()) {
-      put_f64(payload, task.volume);
-      put_f64(payload, task.width);
-      put_f64(payload, task.weight);
-    }
-    return payload;
-  }
-  std::string payload = "instance " + name + "\n";
-  payload += hex_double(instance.processors());
-  payload += ' ';
-  payload += std::to_string(instance.size());
-  payload += '\n';
+                            const core::Instance& instance, Dialect) {
+  std::string payload;
+  payload.reserve(1 + 4 + name.size() + 8 + 4 + 24 * instance.size());
+  put_u8(payload, kBinaryInstanceTag);
+  put_string(payload, name);
+  put_f64(payload, instance.processors());
+  put_u32(payload, static_cast<std::uint32_t>(instance.size()));
   for (const core::Task& task : instance.tasks()) {
-    payload += hex_double(task.volume);
-    payload += ' ';
-    payload += hex_double(task.width);
-    payload += ' ';
-    payload += hex_double(task.weight);
-    payload += '\n';
+    put_f64(payload, task.volume);
+    put_f64(payload, task.width);
+    put_f64(payload, task.weight);
   }
   return payload;
 }
 
 std::optional<InstanceMessage> decode_instance(const std::string& payload) {
-  if (is_binary(payload, kBinaryInstanceTag)) {
-    BinaryReader in(payload);
-    (void)in.get_u8();  // tag
-    InstanceMessage message;
-    message.name = in.get_string();
-    const double processors = in.get_f64();
-    const std::uint32_t count = in.get_u32();
-    // Same corrupted-count guard as the text decoder: every task is
-    // exactly 24 bytes here, so a count the remaining bytes cannot hold
-    // is rejected before reserve() turns it into a giant allocation.
-    if (count > in.remaining() / 24) {
-      return std::nullopt;
-    }
-    if (processors <= 0.0) {  // the exact check the text decoder applies
-      return std::nullopt;
-    }
-    std::vector<core::Task> tasks;
-    tasks.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      core::Task task;
-      task.volume = in.get_f64();
-      task.width = in.get_f64();
-      task.weight = in.get_f64();
-      if (task.volume < 0.0 || task.width <= 0.0 || task.weight < 0.0) {
-        return std::nullopt;
-      }
-      tasks.push_back(task);
-    }
-    if (!in.done()) {
-      return std::nullopt;
-    }
-    message.instance.emplace(processors, std::move(tasks));
-    return message;
+  BinaryReader in(payload);
+  if (in.get_u8() != kBinaryInstanceTag) {
+    return std::nullopt;
   }
-  std::istringstream in(payload);
-  std::string keyword;
   InstanceMessage message;
-  if (!(in >> keyword >> message.name) || keyword != "instance") {
+  message.name = in.get_string();
+  const double processors = in.get_f64();
+  const std::uint32_t count = in.get_u32();
+  // Every task is exactly 24 bytes, so a count the remaining bytes cannot
+  // hold is a corrupted header — rejected before reserve() turns it into a
+  // giant allocation (the same class of fault kMaxFrameBytes guards
+  // against at the frame layer).
+  if (count > in.remaining() / 24) {
     return std::nullopt;
   }
-  std::string processors_text;
-  std::uint64_t count = 0;
-  std::string count_text;
-  if (!(in >> processors_text >> count_text) ||
-      !parse_u64(count_text, &count)) {
-    return std::nullopt;
-  }
-  double processors = 0.0;
-  if (!parse_hex_double(processors_text, &processors) || processors <= 0.0) {
-    return std::nullopt;
-  }
-  // A real task line is >= ~20 payload bytes (three hexfloats), so a count
-  // beyond size/16 is a corrupted header — reject it before reserve() turns
-  // it into a giant allocation (the same class of fault kMaxFrameBytes
-  // guards against at the frame layer).
-  if (count > payload.size() / 16) {
+  // The core::Instance preconditions, negated so a NaN fails them too: a
+  // decoded payload must never reach the constructor's contract abort.
+  if (!(processors > 0.0)) {
     return std::nullopt;
   }
   std::vector<core::Task> tasks;
   tasks.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string v, d, w;
+  for (std::uint32_t i = 0; i < count; ++i) {
     core::Task task;
-    if (!(in >> v >> d >> w) || !parse_hex_double(v, &task.volume) ||
-        !parse_hex_double(d, &task.width) ||
-        !parse_hex_double(w, &task.weight) || task.volume < 0.0 ||
-        task.width <= 0.0 || task.weight < 0.0) {
+    task.volume = in.get_f64();
+    task.width = in.get_f64();
+    task.weight = in.get_f64();
+    if (!(task.volume >= 0.0) || !(task.width > 0.0) ||
+        !(task.weight >= 0.0)) {
       return std::nullopt;
     }
     tasks.push_back(task);
+  }
+  if (!in.done()) {
+    return std::nullopt;
   }
   message.instance.emplace(processors, std::move(tasks));
   return message;
 }
 
-std::string encode_solve(const SolveMessage& message, Dialect dialect) {
-  if (dialect == Dialect::Binary) {
-    std::string payload;
-    payload.reserve(1 + 8 + 8 + 8 + 1 + 8 + 8 + message.solver.size() +
-                    message.instance_name.size());
-    put_u8(payload, kBinarySolveTag);
-    put_u64(payload, message.id);
-    put_u64(payload, message.token);
-    put_f64(payload, message.priority_weight);
-    put_u8(payload, message.deadline_seconds ? 1 : 0);
-    if (message.deadline_seconds) {
-      put_f64(payload, *message.deadline_seconds);
-    }
-    put_string(payload, message.solver);
-    put_string(payload, message.instance_name);
-    return payload;
+std::string encode_solve(const SolveMessage& message, Dialect) {
+  std::string payload;
+  payload.reserve(1 + 8 + 8 + 8 + 1 + 8 + 8 + message.solver.size() +
+                  message.instance_name.size());
+  put_u8(payload, kBinarySolveTag);
+  put_u64(payload, message.id);
+  put_u64(payload, message.token);
+  put_f64(payload, message.priority_weight);
+  put_u8(payload, message.deadline_seconds ? 1 : 0);
+  if (message.deadline_seconds) {
+    put_f64(payload, *message.deadline_seconds);
   }
-  std::string payload = "solve " + std::to_string(message.id) + " " +
-                        std::to_string(message.token) + " " +
-                        hex_double(message.priority_weight) + " ";
-  payload += message.deadline_seconds ? hex_double(*message.deadline_seconds)
-                                      : std::string("-");
-  payload += " " + message.solver + " " + message.instance_name;
+  put_string(payload, message.solver);
+  put_string(payload, message.instance_name);
   return payload;
 }
 
 std::optional<SolveMessage> decode_solve(const std::string& payload) {
-  if (is_binary(payload, kBinarySolveTag)) {
-    BinaryReader in(payload);
-    (void)in.get_u8();  // tag
-    SolveMessage message;
-    message.id = in.get_u64();
-    message.token = in.get_u64();
-    message.priority_weight = in.get_f64();
-    const std::uint8_t has_deadline = in.get_u8();
-    if (has_deadline > 1) {
-      return std::nullopt;
-    }
-    if (has_deadline == 1) {
-      const double seconds = in.get_f64();
-      if (seconds < 0.0) {
-        return std::nullopt;
-      }
-      message.deadline_seconds = seconds;
-    }
-    message.solver = in.get_string();
-    message.instance_name = in.get_string();
-    if (!in.done()) {
-      return std::nullopt;
-    }
-    return message;
-  }
-  std::istringstream in(payload);
-  std::string keyword, id_text, token_text, weight_text, deadline_text;
-  SolveMessage message;
-  if (!(in >> keyword >> id_text >> token_text >> weight_text >>
-        deadline_text >> message.solver >> message.instance_name) ||
-      keyword != "solve" || !parse_u64(id_text, &message.id) ||
-      !parse_u64(token_text, &message.token) ||
-      !parse_hex_double(weight_text, &message.priority_weight)) {
+  BinaryReader in(payload);
+  if (in.get_u8() != kBinarySolveTag) {
     return std::nullopt;
   }
-  if (deadline_text != "-") {
-    double seconds = 0.0;
-    if (!parse_hex_double(deadline_text, &seconds) || seconds < 0.0) {
+  SolveMessage message;
+  message.id = in.get_u64();
+  message.token = in.get_u64();
+  message.priority_weight = in.get_f64();
+  const std::uint8_t has_deadline = in.get_u8();
+  if (has_deadline > 1) {
+    return std::nullopt;
+  }
+  if (has_deadline == 1) {
+    const double seconds = in.get_f64();
+    if (seconds < 0.0) {
       return std::nullopt;
     }
     message.deadline_seconds = seconds;
+  }
+  message.solver = in.get_string();
+  message.instance_name = in.get_string();
+  if (!in.done()) {
+    return std::nullopt;
   }
   return message;
 }
 
 std::string encode_result(std::uint64_t id, std::uint64_t token,
-                          const service::SolveResult& result,
-                          Dialect dialect) {
-  if (dialect == Dialect::Binary) {
-    // Length-prefixed strings need no quoting/escaping: the solver name
-    // and error detail travel verbatim, whatever bytes they hold.
-    std::string payload;
-    put_u8(payload, kBinaryResultTag);
-    put_u64(payload, id);
-    put_u64(payload, token);
-    put_string(payload, result.solver);
-    put_f64(payload, result.latency_seconds);
-    if (result.ok()) {
-      put_u8(payload, 1);
-      put_f64(payload, result.objective());
-      put_f64(payload, result.makespan());
-      put_u8(payload, result.cache_hit ? 1 : 0);
-      const auto& completions = result.completions();
-      put_u32(payload, static_cast<std::uint32_t>(completions.size()));
-      for (const double completion : completions) {
-        put_f64(payload, completion);
-      }
-    } else {
-      put_u8(payload, 0);
-      put_u8(payload, static_cast<std::uint8_t>(result.error().code));
-      put_string(payload, result.error().detail);
-    }
-    return payload;
-  }
-  // The solver name is client-controlled (any whitespace-free token, quotes
-  // included) — emit it *quoted* so field()'s quote tracking stays in sync
-  // with the writer and a quote in the name cannot desynchronize the scan
-  // of the fields that follow.
-  std::string payload = "result " + std::to_string(id) +
-                        " token=" + std::to_string(token) + " solver=\"" +
-                        service::escape_result_text(result.solver) + "\"";
+                          const service::SolveResult& result, Dialect) {
+  std::string payload;
+  put_u8(payload, kBinaryResultTag);
+  put_u64(payload, id);
+  put_u64(payload, token);
+  put_string(payload, result.solver);
+  put_f64(payload, result.latency_seconds);
   if (result.ok()) {
-    payload += " status=ok objective=" + hex_double(result.objective()) +
-               " makespan=" + hex_double(result.makespan()) +
-               " cache_hit=" + (result.cache_hit ? std::string("1") : "0") +
-               " latency=" + hex_double(result.latency_seconds);
-    for (const double completion : result.completions()) {
-      payload += '\n';
-      payload += hex_double(completion);
+    put_u8(payload, 1);
+    put_f64(payload, result.objective());
+    put_f64(payload, result.makespan());
+    put_u8(payload, result.cache_hit ? 1 : 0);
+    const auto& completions = result.completions();
+    put_u32(payload, static_cast<std::uint32_t>(completions.size()));
+    for (const double completion : completions) {
+      put_f64(payload, completion);
     }
   } else {
-    payload += " status=error code=";
-    payload += service::error_code_name(result.error().code);
-    payload += " message=\"" + service::escape_result_text(result.error().detail) + "\"" +
-               " latency=" + hex_double(result.latency_seconds);
+    put_u8(payload, 0);
+    put_u8(payload, static_cast<std::uint8_t>(result.error().code));
+    put_string(payload, result.error().detail);
   }
   return payload;
 }
 
 std::optional<ResultMessage> decode_result(const std::string& payload) {
-  if (is_binary(payload, kBinaryResultTag)) {
-    BinaryReader in(payload);
-    (void)in.get_u8();  // tag
-    ResultMessage message;
-    message.id = in.get_u64();
-    message.token = in.get_u64();
-    const std::string solver = in.get_string();
-    const double latency = in.get_f64();
-    const std::uint8_t status = in.get_u8();
-    if (status == 1) {
-      service::SolveOutput output;
-      output.objective = in.get_f64();
-      output.makespan = in.get_f64();
-      const std::uint8_t cache_hit = in.get_u8();
-      if (cache_hit > 1) {
-        return std::nullopt;
-      }
-      const std::uint32_t count = in.get_u32();
-      if (count > in.remaining() / 8) {  // corrupted-count allocation guard
-        return std::nullopt;
-      }
-      output.completions.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        output.completions.push_back(in.get_f64());
-      }
-      message.result =
-          service::SolveResult::success(solver, std::move(output));
-      message.result.cache_hit = cache_hit == 1;
-    } else if (status == 0) {
-      // The code travels as a u8 and is validated against the enumeration
-      // — an out-of-range byte is corruption, exactly like an unknown
-      // kebab-case name in the text dialect.
-      const std::uint8_t code = in.get_u8();
-      if (code >= std::size(service::kAllErrorCodes)) {
-        return std::nullopt;
-      }
-      const std::string detail = in.get_string();
-      message.result = service::SolveResult::failure(
-          solver, static_cast<service::ErrorCode>(code), detail);
-    } else {
-      return std::nullopt;
-    }
-    if (!in.done()) {
-      return std::nullopt;
-    }
-    message.result.latency_seconds = latency;
-    return message;
-  }
-  auto header_end = payload.find('\n');
-  if (header_end == std::string::npos) {
-    header_end = payload.size();
-  }
-  const std::string header = payload.substr(0, header_end);
-
-  std::istringstream in(header);
-  std::string keyword, id_text;
-  if (!(in >> keyword >> id_text) || keyword != "result") {
+  BinaryReader in(payload);
+  if (in.get_u8() != kBinaryResultTag) {
     return std::nullopt;
   }
   ResultMessage message;
-  if (!parse_u64(id_text, &message.id) ||
-      !parse_u64(field(header, "token"), &message.token)) {
-    return std::nullopt;
-  }
-  const std::string solver = service::unescape_result_text(field(header, "solver"));
-  const std::string status = field(header, "status");
-  double latency = 0.0;
-  if (!parse_hex_double(field(header, "latency"), &latency)) {
-    return std::nullopt;
-  }
-
-  if (status == "ok") {
+  message.id = in.get_u64();
+  message.token = in.get_u64();
+  const std::string solver = in.get_string();
+  const double latency = in.get_f64();
+  const std::uint8_t status = in.get_u8();
+  if (status == 1) {
     service::SolveOutput output;
-    if (!parse_hex_double(field(header, "objective"), &output.objective) ||
-        !parse_hex_double(field(header, "makespan"), &output.makespan)) {
+    output.objective = in.get_f64();
+    output.makespan = in.get_f64();
+    const std::uint8_t cache_hit = in.get_u8();
+    if (cache_hit > 1) {
       return std::nullopt;
     }
-    // Completion times follow, one hexfloat per line.
-    std::size_t cursor = header_end;
-    while (cursor < payload.size()) {
-      ++cursor;  // skip the newline
-      auto line_end = payload.find('\n', cursor);
-      if (line_end == std::string::npos) {
-        line_end = payload.size();
-      }
-      if (line_end > cursor) {
-        double completion = 0.0;
-        if (!parse_hex_double(payload.substr(cursor, line_end - cursor),
-                              &completion)) {
-          return std::nullopt;
-        }
-        output.completions.push_back(completion);
-      }
-      cursor = line_end;
-    }
-    message.result =
-        service::SolveResult::success(solver, std::move(output));
-    message.result.cache_hit = field(header, "cache_hit") == "1";
-  } else if (status == "error") {
-    const auto code = service::parse_error_code(field(header, "code"));
-    if (!code) {
+    const std::uint32_t count = in.get_u32();
+    if (count > in.remaining() / 8) {  // corrupted-count allocation guard
       return std::nullopt;
     }
+    output.completions.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      output.completions.push_back(in.get_f64());
+    }
+    message.result = service::SolveResult::success(solver, std::move(output));
+    message.result.cache_hit = cache_hit == 1;
+  } else if (status == 0) {
+    // The code travels as a u8 and is validated against the enumeration:
+    // an out-of-range byte is corruption.
+    const std::uint8_t code = in.get_u8();
+    if (code >= std::size(service::kAllErrorCodes)) {
+      return std::nullopt;
+    }
+    const std::string detail = in.get_string();
     message.result = service::SolveResult::failure(
-        solver, *code, service::unescape_result_text(field(header, "message")));
+        solver, static_cast<service::ErrorCode>(code), detail);
   } else {
+    return std::nullopt;
+  }
+  if (!in.done()) {
     return std::nullopt;
   }
   message.result.latency_seconds = latency;

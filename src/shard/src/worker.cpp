@@ -59,12 +59,6 @@ int run_worker(int fd, const service::SolverRegistry& registry,
     return 2;
   }
 
-  // Which wire encoding results/requests travel in: binary through shared
-  // memory, text through the fd.  Decoders sniff, so the dispatch below is
-  // dialect-blind either way.
-  const wire::Dialect dialect =
-      channel != nullptr ? wire::Dialect::Binary : wire::Dialect::Text;
-
   // The single shared ServiceOptions -> Scheduler::Options mapping: sharded
   // workers must serve exactly like run_service would.
   auto scheduler_options = service::make_scheduler_options(options);
@@ -131,7 +125,7 @@ int run_worker(int fd, const service::SolverRegistry& registry,
   };
   const auto emit_result = [&](std::uint64_t id, std::uint64_t token,
                                const service::SolveResult& result) {
-    const std::string payload = wire::encode_result(id, token, result, dialect);
+    const std::string payload = wire::encode_result(id, token, result);
     // A kill here is the nastiest worker death: the solve completed but the
     // reply never left, so the router must retry the token on a replica.
     // Dup emits the same payload twice — the router's id dedup absorbs it.

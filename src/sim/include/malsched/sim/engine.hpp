@@ -6,7 +6,6 @@
 /// event type in the work-preserving fluid model), producing a
 /// piecewise-constant StepSchedule plus per-event telemetry.
 
-#include <span>
 #include <vector>
 
 #include "malsched/core/cancel.hpp"
@@ -34,10 +33,9 @@ struct EngineOptions {
   support::Tolerance tol = {};
   /// Safety valve: abort (contract failure) if the policy stops making
   /// progress after this many events.  0 means the default 4n + 16: a
-  /// well-behaved run needs at most n completion events plus n arrival
-  /// events plus n idle gaps between arrivals — 4n + 16 leaves a 1n + 16
-  /// margin for tolerance-induced re-shares before declaring the policy
-  /// stuck.  tests/sim/test_engine.cpp pins this budget.
+  /// well-behaved run needs at most n completion events, so 4n + 16 leaves
+  /// ample margin for tolerance-induced re-shares before declaring the
+  /// policy stuck.  tests/sim/test_engine.cpp pins this budget.
   std::size_t max_events = 0;
   /// Cooperative cancellation, polled once per event — the abort latency of
   /// an engine-backed solve is therefore one policy invocation (O(n) work),
@@ -52,14 +50,5 @@ struct EngineOptions {
 [[nodiscard]] EngineResult run_policy(const core::Instance& instance,
                                       const AllocationPolicy& policy,
                                       const EngineOptions& options = {});
-
-/// Online variant: task i only becomes visible (and schedulable) at
-/// release[i].  The policy is re-invoked at every arrival and completion —
-/// the natural online operation of WDEQ-style policies the paper's
-/// non-clairvoyant setting implies.  With all releases zero this is exactly
-/// run_policy.
-[[nodiscard]] EngineResult run_policy_online(
-    const core::Instance& instance, std::span<const double> release,
-    const AllocationPolicy& policy, const EngineOptions& options = {});
 
 }  // namespace malsched::sim

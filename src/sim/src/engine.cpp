@@ -1,6 +1,7 @@
 #include "malsched/sim/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "malsched/support/contracts.hpp"
@@ -10,15 +11,6 @@ namespace malsched::sim {
 EngineResult run_policy(const core::Instance& instance,
                         const AllocationPolicy& policy,
                         const EngineOptions& options) {
-  const std::vector<double> zero_release(instance.size(), 0.0);
-  return run_policy_online(instance, zero_release, policy, options);
-}
-
-EngineResult run_policy_online(const core::Instance& instance,
-                               std::span<const double> release,
-                               const AllocationPolicy& policy,
-                               const EngineOptions& options) {
-  MALSCHED_EXPECTS(release.size() == instance.size());
   // n == 0 needs no special case: the completion loop below is vacuous, the
   // policy is never consulted, and the fall-through returns the empty
   // result (pinned by tests/sim/test_engine.cpp).
@@ -30,18 +22,12 @@ EngineResult run_policy_online(const core::Instance& instance,
   std::vector<double> weights(n);
   std::vector<double> widths(n);
   std::vector<double> remaining(n);
-  std::vector<std::uint8_t> alive(n, 0);     // arrived and unfinished
-  std::vector<std::uint8_t> finished(n, 0);
+  std::vector<std::uint8_t> alive(n, 0);  // unfinished
   for (std::size_t i = 0; i < n; ++i) {
-    MALSCHED_EXPECTS(release[i] >= 0.0);
     weights[i] = instance.task(i).weight;
     widths[i] = instance.effective_width(i);
     remaining[i] = instance.task(i).volume;
-    if (remaining[i] <= tol.abs) {
-      finished[i] = 1;
-    } else if (release[i] <= tol.abs) {
-      alive[i] = 1;
-    }
+    alive[i] = remaining[i] > tol.abs ? 1 : 0;
   }
 
   EngineResult result;
@@ -50,12 +36,9 @@ EngineResult run_policy_online(const core::Instance& instance,
 
   double now = 0.0;
   std::size_t events = 0;
-  const auto all_done = [&] {
-    return std::all_of(finished.begin(), finished.end(),
-                       [](std::uint8_t b) { return b != 0; });
-  };
   const bool poll_cancel = options.cancel.can_cancel();
-  while (!all_done()) {
+  while (std::any_of(alive.begin(), alive.end(),
+                     [](std::uint8_t b) { return b != 0; })) {
     // One poll per event bounds abort latency at a single policy
     // invocation; the schedule stops at the last event already emitted.
     if (poll_cancel && options.cancel.cancelled()) {
@@ -64,32 +47,6 @@ EngineResult run_policy_online(const core::Instance& instance,
     }
     MALSCHED_EXPECTS_MSG(events < max_events,
                          "allocation policy stopped making progress");
-    // Next arrival among not-yet-released tasks.
-    double next_arrival = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!alive[i] && !finished[i] && release[i] > now + tol.abs) {
-        next_arrival = std::min(next_arrival, release[i]);
-      }
-    }
-    // Release anything due now (handles several tasks sharing a release).
-    bool released_any = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!alive[i] && !finished[i] && release[i] <= now + tol.abs) {
-        alive[i] = 1;
-        released_any = true;
-      }
-    }
-    (void)released_any;
-
-    const bool anyone_running = std::any_of(
-        alive.begin(), alive.end(), [](std::uint8_t b) { return b != 0; });
-    if (!anyone_running) {
-      // Idle until the next arrival.
-      MALSCHED_ASSERT(std::isfinite(next_arrival));
-      steps.push_back({now, next_arrival, std::vector<double>(n, 0.0)});
-      now = next_arrival;
-      continue;
-    }
 
     PolicyContext context;
     context.processors = instance.processors();
@@ -115,17 +72,15 @@ EngineResult run_policy_online(const core::Instance& instance,
     MALSCHED_ENSURES(used <=
                      instance.processors() + tol.slack(instance.processors()));
 
-    // Time to the next event: completion among progressing tasks, or the
-    // next arrival (which forces a re-share).
+    // Time to the next event: the first completion among progressing tasks.
     double dt = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < n; ++i) {
       if (alive[i] && rates[i] > tol.abs) {
         dt = std::min(dt, remaining[i] / rates[i]);
       }
     }
-    MALSCHED_EXPECTS_MSG(std::isfinite(dt) || std::isfinite(next_arrival),
+    MALSCHED_EXPECTS_MSG(std::isfinite(dt),
                          "policy starves every remaining task");
-    dt = std::min(dt, next_arrival - now);
 
     core::Step step;
     step.begin = now;
@@ -140,7 +95,6 @@ EngineResult run_policy_online(const core::Instance& instance,
       if (remaining[i] <= tol.slack(instance.task(i).volume)) {
         remaining[i] = 0.0;
         alive[i] = 0;
-        finished[i] = 1;
         result.completions[i] = now + dt;
       }
     }

@@ -23,7 +23,7 @@ namespace mshard = malsched::shard;
 namespace {
 
 /// Bit-exact result comparison via the wire's own canonical encoding —
-/// SolveResult has no operator== and the hexfloat form IS the equality the
+/// SolveResult has no operator== and the raw-bit form IS the equality the
 /// replication contract promises.
 std::string fingerprint(const msvc::SolveResult& result) {
   return mshard::wire::encode_result(0, 0, result);
@@ -32,7 +32,7 @@ std::string fingerprint(const msvc::SolveResult& result) {
 msvc::SolveResult sample_success(std::mt19937_64& rng) {
   std::uniform_real_distribution<double> value(0.0, 1e6);
   msvc::SolveOutput output;
-  output.objective = value(rng) * 0.1;  // awkward decimals: hexfloat food
+  output.objective = value(rng) * 0.1;  // awkward decimals
   output.makespan = value(rng) * 1e-7;
   const std::size_t n = 1 + rng() % 5;
   for (std::size_t i = 0; i < n; ++i) {
@@ -277,7 +277,7 @@ TEST(Journal, RandomByteGarbageNeverCrashes) {
 }
 
 TEST(Journal, ResolvedResultSurvivesReplicationBitExactly) {
-  // The hexfloat contract end to end: encode a result with awkward doubles
+  // The bit-exact contract end to end: encode a result with awkward doubles
   // through the journal and back; the wire fingerprint must not move.
   msvc::SolveOutput output;
   output.objective = 0.1 + 0.2;  // 0.30000000000000004: decimal would lie

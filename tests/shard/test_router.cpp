@@ -531,7 +531,7 @@ TEST(Router, DataPlaneChoiceCannotChangeASingleOutputByte) {
     return output;
   };
 
-  const std::string over_shm = run_with(mshard::DataPlaneMode::Shm, "shm");
+  const std::string over_shm = run_with(mshard::DataPlaneMode::Auto, "shm");
   const std::string over_pipes =
       run_with(mshard::DataPlaneMode::Socketpair, "socketpair");
 
@@ -558,7 +558,7 @@ TEST(Router, ShmSetupFailureFallsBackToSocketpairCountedAndServing) {
   {
     mshard::RouterOptions options;
     options.shards = 2;
-    options.data_plane = mshard::DataPlaneMode::Shm;  // ask, get denied
+    options.data_plane = mshard::DataPlaneMode::Auto;  // ask, get denied
     mshard::ShardRouter router(registry(), options);
     EXPECT_EQ(router.transport_stats().shm_fallbacks, 2u)
         << "every worker should have fallen back";
@@ -586,7 +586,7 @@ TEST(Router, KillAndRestartUnderShmReplantsFreshRings) {
       "solve wdeq work\nsolve order-lp-smith work\n");
   mshard::RouterOptions options;
   options.shards = 2;
-  options.data_plane = mshard::DataPlaneMode::Shm;
+  options.data_plane = mshard::DataPlaneMode::Auto;
   mshard::ShardRouter router(registry(), options);
 
   const auto first = msvc::format_results(router.run(batch));
@@ -617,7 +617,7 @@ TEST(Router, MidSolveDeathUnderShmFailsTypedNotHung) {
 
   mshard::RouterOptions options;
   options.shards = 2;
-  options.data_plane = mshard::DataPlaneMode::Shm;
+  options.data_plane = mshard::DataPlaneMode::Auto;
   mshard::ShardRouter router(registry(), options);
   const std::uint32_t owner = router.owner_of(key);
   const pid_t victim = router.pid_of(owner);
@@ -649,7 +649,7 @@ TEST(Router, FramesLargerThanTheRingDivertOverTheControlFd) {
   mshard::RouterOptions options;
   options.shards = 2;
   options.worker.threads = 2;
-  options.data_plane = mshard::DataPlaneMode::Shm;
+  options.data_plane = mshard::DataPlaneMode::Auto;
   options.shm_ring_bytes = 1;  // rounds up to the 4 KiB floor
   mshard::ShardRouter router(registry(), options);
   const auto sharded = msvc::format_results(router.run(batch));

@@ -6,7 +6,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +40,52 @@ double from_bits(std::uint64_t bits) {
   double value;
   std::memcpy(&value, &bits, sizeof value);
   return value;
+}
+
+// Overwrites bytes of a valid binary payload in place, so each hostile
+// case below differs from a decodable message in exactly one field.
+void patch_u8(std::string& payload, std::size_t at, std::uint8_t value) {
+  payload[at] = static_cast<char>(value);
+}
+
+void patch_u32(std::string& payload, std::size_t at, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    payload[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+void patch_f64(std::string& payload, std::size_t at, double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    payload[at + i] = static_cast<char>((bits >> (8 * i)) & 0xFF);
+  }
+}
+
+// Byte offsets inside the payloads the hostile-input tests corrupt (see
+// the layouts in wire.hpp).  Instance named "x": tag, name length, name.
+constexpr std::size_t kInstanceProcessors = 1 + 4 + 1;
+constexpr std::size_t kInstanceCount = kInstanceProcessors + 8;
+constexpr std::size_t kInstanceFirstTask = kInstanceCount + 4;
+// Solve: tag, id, token, priority weight.
+constexpr std::size_t kSolveHasDeadline = 1 + 8 + 8 + 8;
+// Result from solver "wdeq": tag, id, token, solver string, latency.
+constexpr std::size_t kResultStatus = 1 + 8 + 8 + 4 + 4 + 8;
+constexpr std::size_t kResultCacheHit = kResultStatus + 1 + 8 + 8;
+constexpr std::size_t kResultCount = kResultCacheHit + 1;
+constexpr std::size_t kResultErrorCode = kResultStatus + 1;
+
+std::string valid_instance_payload() {
+  return wire::encode_instance(
+      "x", Instance(4.0, {{1.0, 1.0, 1.0}, {2.0, 0.5, 3.0}}));
+}
+
+std::string valid_ok_result_payload() {
+  msvc::SolveOutput output;
+  output.objective = 1.5;
+  output.makespan = 2.0;
+  output.completions = {1.0, 2.0};
+  return wire::encode_result(1, 2, msvc::SolveResult::success("wdeq", output));
 }
 
 /// The doubles that break everything except raw-bit transport: NaNs with
@@ -125,11 +173,37 @@ TEST(Wire, InstanceRoundTripIsBitExact) {
 }
 
 TEST(Wire, InstanceDecodeRejectsGarbage) {
-  EXPECT_FALSE(wire::decode_instance("solve 1 0x1p+0 - wdeq x").has_value());
-  EXPECT_FALSE(wire::decode_instance("instance x\n0x1p+2 2\n0x1p+0 0x1p+0")
-                   .has_value());  // truncated task list
+  const std::string valid = valid_instance_payload();
+  ASSERT_TRUE(wire::decode_instance(valid).has_value());
+
+  // Another message's tag, and a task list cut short mid-task.
+  wire::SolveMessage solve;
+  solve.solver = "wdeq";
+  solve.instance_name = "x";
+  EXPECT_FALSE(wire::decode_instance(wire::encode_solve(solve)).has_value());
   EXPECT_FALSE(
-      wire::decode_instance("instance x\n-0x1p+2 0").has_value());  // P <= 0
+      wire::decode_instance(valid.substr(0, valid.size() - 4)).has_value());
+
+  // One out-of-range field each: P <= 0, negative volume, zero width,
+  // negative weight, and NaN in every field — the instance preconditions,
+  // checked at the wire instead of aborting in the Instance constructor.
+  const double nan = from_bits(0x7FF8000000000000ull);
+  for (const double processors : {0.0, -4.0, nan}) {
+    std::string payload = valid;
+    patch_f64(payload, kInstanceProcessors, processors);
+    EXPECT_FALSE(wire::decode_instance(payload).has_value()) << processors;
+  }
+  const struct {
+    std::size_t field;  ///< offset within the first task
+    double value;
+  } bad_tasks[] = {{0, -1.0}, {8, 0.0}, {16, -1.0},  // volume, width, weight
+                   {0, nan},  {8, nan}, {16, nan}};
+  for (const auto& bad : bad_tasks) {
+    std::string payload = valid;
+    patch_f64(payload, kInstanceFirstTask + bad.field, bad.value);
+    EXPECT_FALSE(wire::decode_instance(payload).has_value())
+        << "field +" << bad.field << " = " << bad.value;
+  }
 }
 
 TEST(Wire, SolveRoundTripWithAndWithoutDeadline) {
@@ -213,7 +287,8 @@ TEST(Wire, EveryErrorCodeRoundTripsWithHostileMessages) {
 TEST(Wire, QuotesInSolverNamesDoNotDesynchronizeTheHeader) {
   // Regression: solver names are arbitrary whitespace-free tokens, quotes
   // included (`solve a"b x` is a legal batch line).  The solver field is
-  // quoted on the wire so such a name cannot swallow the fields after it.
+  // length-prefixed on the wire, so such a name cannot swallow the fields
+  // after it.
   const msvc::SolveResult sent = msvc::SolveResult::failure(
       "a\"b", msvc::ErrorCode::UnknownSolver, "unknown solver 'a\"b'");
   const auto decoded = wire::decode_result(wire::encode_result(4, 1, sent));
@@ -226,8 +301,8 @@ TEST(Wire, QuotesInSolverNamesDoNotDesynchronizeTheHeader) {
 
 TEST(Wire, FieldLookupIsNotShadowedByKeysInsideQuotedMessages) {
   // Regression: solver exception text becomes the error detail verbatim; a
-  // detail containing " latency=" (or any other field key) must not hijack
-  // the scan for the real field that follows the quoted message.
+  // detail that spells other fields (" latency=", "status=ok", "code=")
+  // must decode as text, never as the fields it names.
   const msvc::SolveResult sent = msvc::SolveResult::failure(
       "custom", msvc::ErrorCode::SolverFailure,
       "bad latency=0.5 in config, also status=ok and code=cancelled");
@@ -242,19 +317,36 @@ TEST(Wire, FieldLookupIsNotShadowedByKeysInsideQuotedMessages) {
 
 TEST(Wire, InstanceDecodeRejectsHugeTaskCountHeader) {
   // Regression: a corrupted count field must be rejected before reserve()
-  // turns it into a multi-terabyte allocation attempt.
-  EXPECT_FALSE(
-      wire::decode_instance("instance x\n0x1p+2 999999999999\n").has_value());
+  // turns it into a ~100 GB allocation attempt.  One task more than the
+  // remaining bytes hold is rejected the same way.
+  std::string payload = valid_instance_payload();
+  patch_u32(payload, kInstanceCount, 0xFFFFFFFFu);
+  EXPECT_FALSE(wire::decode_instance(payload).has_value());
+  patch_u32(payload, kInstanceCount, 3);  // the payload holds 2 tasks
+  EXPECT_FALSE(wire::decode_instance(payload).has_value());
 }
 
 TEST(Wire, ResultDecodeRejectsUnknownStatusAndCode) {
-  EXPECT_FALSE(wire::decode_result("result 1 solver=x status=weird "
-                                   "latency=0x0p+0")
-                   .has_value());
-  EXPECT_FALSE(wire::decode_result("result 1 solver=x status=error "
-                                   "code=not-a-code message=\"m\" "
-                                   "latency=0x0p+0")
-                   .has_value());
+  const std::string ok = valid_ok_result_payload();
+  ASSERT_TRUE(wire::decode_result(ok).has_value());
+  std::string payload = ok;
+  patch_u8(payload, kResultStatus, 2);  // neither error (0) nor ok (1)
+  EXPECT_FALSE(wire::decode_result(payload).has_value());
+  payload = ok;
+  patch_u8(payload, kResultCacheHit, 2);  // a flag byte is 0 or 1
+  EXPECT_FALSE(wire::decode_result(payload).has_value());
+
+  const std::string error = wire::encode_result(
+      1, 2,
+      msvc::SolveResult::failure("wdeq", msvc::ErrorCode::Cancelled, "m"));
+  ASSERT_TRUE(wire::decode_result(error).has_value());
+  payload = error;
+  patch_u8(payload, kResultErrorCode,
+           static_cast<std::uint8_t>(std::size(msvc::kAllErrorCodes)));
+  EXPECT_FALSE(wire::decode_result(payload).has_value());
+  payload = error;
+  patch_u8(payload, kResultErrorCode, 0xFF);
+  EXPECT_FALSE(wire::decode_result(payload).has_value());
 }
 
 TEST(Wire, StatsRoundTrip) {
@@ -282,10 +374,11 @@ TEST(Wire, StatsRoundTrip) {
 }
 
 TEST(Wire, MessageTypeExtraction) {
-  EXPECT_EQ(wire::message_type("solve 1 0x1p+0 - wdeq x"), "solve");
-  EXPECT_EQ(wire::message_type("instance foo\n..."), "instance");
+  EXPECT_EQ(wire::message_type("ping 7"), "ping");
+  EXPECT_EQ(wire::message_type("stats hits=1 misses=2"), "stats");
+  EXPECT_EQ(wire::message_type("drained 12"), "drained");
   EXPECT_EQ(wire::message_type("drain"), "drain");
-  EXPECT_EQ(wire::message_type("hello malsched-wire 2 router"), "hello");
+  EXPECT_EQ(wire::message_type("hello malsched-wire 4 router"), "hello");
   EXPECT_EQ(wire::message_type(""), "");
 }
 
@@ -305,15 +398,24 @@ TEST(Wire, HelloRoundTripCarriesVersionAndRole) {
 }
 
 TEST(Wire, ValidateHelloNamesBothVersionsOnAMismatch) {
-  wire::HelloMessage old_binary;
-  old_binary.version = 1;  // the PR-5 dialect, before hello itself existed
-  old_binary.role = "worker";
-  const auto reason = wire::validate_hello(wire::encode_hello(old_binary));
-  ASSERT_TRUE(reason.has_value());
-  EXPECT_NE(reason->find("version 1"), std::string::npos) << *reason;
-  EXPECT_NE(reason->find(std::to_string(wire::kWireProtocolVersion)),
-            std::string::npos)
-      << *reason;
+  // Version 1 predates hello itself; version 3 is the last protocol whose
+  // data frames were hexfloat text, so a v3 peer must be turned away here,
+  // before it sends a data frame this build no longer parses.
+  EXPECT_EQ(wire::kWireProtocolVersion, 4u);
+  for (const std::uint32_t old_version : {1u, 3u}) {
+    wire::HelloMessage old_peer;
+    old_peer.version = old_version;
+    old_peer.role = "worker";
+    const auto reason = wire::validate_hello(wire::encode_hello(old_peer));
+    ASSERT_TRUE(reason.has_value());
+    EXPECT_NE(reason->find("version " + std::to_string(old_version)),
+              std::string::npos)
+        << *reason;
+    EXPECT_NE(reason->find("speaks " +
+                           std::to_string(wire::kWireProtocolVersion)),
+              std::string::npos)
+        << *reason;
+  }
 }
 
 TEST(Wire, ValidateHelloQuotesASanitizedPreviewOfGarbage) {
@@ -377,13 +479,12 @@ TEST(Wire, HandshakeTimesOutTypedOnASilentPeer) {
   EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 5.0);
 }
 
-// --- binary dialect: the shm data plane's encoding ---
+// --- binary data frames: the one encoding on every transport ---
 //
-// The contract under test: Dialect::Binary carries doubles as their raw
+// The contract under test: data messages carry doubles as their raw
 // IEEE-754 bits, so payload-carrying NaNs, infinities, negative zero and
-// subnormals all round-trip bit-identically — and both dialects decode to
-// the same in-memory message, so flipping a shard between shm and
-// socketpair cannot change a single output byte.
+// subnormals all round-trip bit-identically, and every malformed payload
+// decodes to nullopt.
 
 TEST(WireBinary, InstanceRoundTripPreservesEveryHostileBitPattern) {
   // Instance preconditions (volume >= 0, width > 0, weight >= 0) exclude
@@ -434,8 +535,8 @@ TEST(WireBinary, SolveRoundTripPreservesHostileDoubles) {
   EXPECT_TRUE(bits_equal(*decoded->deadline_seconds,
                          *message.deadline_seconds));
 
-  // A NaN deadline is not `< 0.0`, so both dialects pass it through —
-  // parity matters more than plausibility here.
+  // A NaN deadline is not `< 0.0`, so the decoder passes it through with
+  // its payload bits intact.
   message.deadline_seconds = from_bits(0x7FF8000000000099ull);
   decoded = wire::decode_solve(
       wire::encode_solve(message, wire::Dialect::Binary));
@@ -475,9 +576,8 @@ TEST(WireBinary, OkResultRoundTripPreservesHostileCompletions) {
 }
 
 TEST(WireBinary, EveryErrorCodeRoundTripsWithBinaryHostileDetails) {
-  // Length-prefixed strings need no escaping, so the binary dialect must
-  // carry details the text dialect could never hold verbatim — embedded
-  // NULs included.
+  // Length-prefixed strings need no escaping, so details cross verbatim
+  // whatever bytes they hold — embedded NULs included.
   const std::vector<std::string> details = {
       std::string("nul \0 inside", 13),
       "quotes \"and\" backslash \\",
@@ -497,81 +597,6 @@ TEST(WireBinary, EveryErrorCodeRoundTripsWithBinaryHostileDetails) {
         << msvc::error_code_name(code);
     EXPECT_EQ(decoded->result.error().detail, detail)
         << msvc::error_code_name(code);
-  }
-}
-
-TEST(WireBinary, BothDialectsDecodeToIdenticalMessages) {
-  // The golden cross-check behind the byte-identical-output CI gate: the
-  // same message encoded in either dialect decodes to the same bits, so
-  // the data plane choice cannot leak into results.
-  const std::vector<Task> tasks = {{1.0 / 3.0, 2.0, 0.1},
-                                   {1e-300, 0.7, 3.0000000000000004},
-                                   {2.2250738585072014e-308, 1e308, 42.0}};
-  const Instance instance(6.02214076e23, tasks);
-  const auto text_inst =
-      wire::decode_instance(wire::encode_instance("golden", instance));
-  const auto bin_inst = wire::decode_instance(
-      wire::encode_instance("golden", instance, wire::Dialect::Binary));
-  ASSERT_TRUE(text_inst.has_value() && bin_inst.has_value());
-  EXPECT_EQ(text_inst->name, bin_inst->name);
-  ASSERT_EQ(text_inst->instance->size(), bin_inst->instance->size());
-  EXPECT_TRUE(bits_equal(text_inst->instance->processors(),
-                         bin_inst->instance->processors()));
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    EXPECT_TRUE(bits_equal(text_inst->instance->task(i).volume,
-                           bin_inst->instance->task(i).volume));
-    EXPECT_TRUE(bits_equal(text_inst->instance->task(i).width,
-                           bin_inst->instance->task(i).width));
-    EXPECT_TRUE(bits_equal(text_inst->instance->task(i).weight,
-                           bin_inst->instance->task(i).weight));
-  }
-
-  wire::SolveMessage solve;
-  solve.id = 0x123456789ABCDEFull;
-  solve.token = 0xFEDCBA987654321ull;
-  solve.priority_weight = 1.0 / 7.0;
-  solve.deadline_seconds = 0.125;
-  solve.solver = "order-lp-smith";
-  solve.instance_name = "golden";
-  const auto text_solve = wire::decode_solve(wire::encode_solve(solve));
-  const auto bin_solve = wire::decode_solve(
-      wire::encode_solve(solve, wire::Dialect::Binary));
-  ASSERT_TRUE(text_solve.has_value() && bin_solve.has_value());
-  EXPECT_EQ(text_solve->id, bin_solve->id);
-  EXPECT_EQ(text_solve->token, bin_solve->token);
-  EXPECT_TRUE(
-      bits_equal(text_solve->priority_weight, bin_solve->priority_weight));
-  EXPECT_TRUE(bits_equal(*text_solve->deadline_seconds,
-                         *bin_solve->deadline_seconds));
-  EXPECT_EQ(text_solve->solver, bin_solve->solver);
-  EXPECT_EQ(text_solve->instance_name, bin_solve->instance_name);
-
-  msvc::SolveOutput output;
-  output.objective = 1.0 / 3.0;
-  output.makespan = 2.0000000000000004;
-  output.completions = {0.1, 0.2, 1e-17, 123.456};
-  msvc::SolveResult result = msvc::SolveResult::success("wdeq", output);
-  result.cache_hit = true;
-  result.latency_seconds = 3.25e-4;
-  const auto text_res = wire::decode_result(wire::encode_result(7, 9, result));
-  const auto bin_res = wire::decode_result(
-      wire::encode_result(7, 9, result, wire::Dialect::Binary));
-  ASSERT_TRUE(text_res.has_value() && bin_res.has_value());
-  EXPECT_EQ(text_res->id, bin_res->id);
-  EXPECT_EQ(text_res->token, bin_res->token);
-  EXPECT_EQ(text_res->result.solver, bin_res->result.solver);
-  EXPECT_EQ(text_res->result.cache_hit, bin_res->result.cache_hit);
-  EXPECT_TRUE(bits_equal(text_res->result.latency_seconds,
-                         bin_res->result.latency_seconds));
-  EXPECT_TRUE(
-      bits_equal(text_res->result.objective(), bin_res->result.objective()));
-  EXPECT_TRUE(
-      bits_equal(text_res->result.makespan(), bin_res->result.makespan()));
-  ASSERT_EQ(text_res->result.completions().size(),
-            bin_res->result.completions().size());
-  for (std::size_t i = 0; i < output.completions.size(); ++i) {
-    EXPECT_TRUE(bits_equal(text_res->result.completions()[i],
-                           bin_res->result.completions()[i]));
   }
 }
 
@@ -632,4 +657,40 @@ TEST(WireBinary, DecodeRejectsTruncationAtEveryPrefixAndTrailingGarbage) {
   EXPECT_FALSE(wire::decode_instance(std::string(1, '\x81')));
   EXPECT_FALSE(wire::decode_solve(std::string(1, '\x82')));
   EXPECT_FALSE(wire::decode_result(std::string(1, '\x83')));
+}
+
+TEST(WireBinary, SolveDecodeRejectsAnOutOfRangeDeadlineFlag) {
+  wire::SolveMessage solve;
+  solve.id = 1;
+  solve.token = 2;
+  solve.solver = "wdeq";
+  solve.instance_name = "x";
+  std::string payload = wire::encode_solve(solve);
+  ASSERT_TRUE(wire::decode_solve(payload).has_value());
+  patch_u8(payload, kSolveHasDeadline, 2);  // a flag byte is 0 or 1
+  EXPECT_FALSE(wire::decode_solve(payload).has_value());
+}
+
+TEST(WireBinary, ResultDecodeRejectsHugeCompletionCount) {
+  // Same allocation guard as the instance task count: a completion count
+  // the remaining bytes cannot hold is rejected before reserve().
+  std::string payload = valid_ok_result_payload();
+  patch_u32(payload, kResultCount, 0xFFFFFFFFu);
+  EXPECT_FALSE(wire::decode_result(payload).has_value());
+  patch_u32(payload, kResultCount, 3);  // the payload holds 2 completions
+  EXPECT_FALSE(wire::decode_result(payload).has_value());
+}
+
+TEST(WireBinary, DecodersRejectVersion3TextPayloads) {
+  // The hexfloat text forms of the data messages are gone; a payload in
+  // that form is garbage to every decoder, never a partial message.
+  EXPECT_FALSE(wire::decode_instance("instance x\n0x1p+2 1\n0x1p+0 0x1p+0 "
+                                     "0x1p+0\n")
+                   .has_value());
+  EXPECT_FALSE(wire::decode_solve("solve 1 7 0x1p+0 - wdeq x").has_value());
+  EXPECT_FALSE(wire::decode_result("result 1 token=7 solver=\"wdeq\" "
+                                   "status=ok objective=0x1p+0 "
+                                   "makespan=0x1p+0 cache_hit=0 "
+                                   "latency=0x0p+0\n0x1p+0")
+                   .has_value());
 }

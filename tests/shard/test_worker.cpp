@@ -1,7 +1,8 @@
 // Worker-side contracts of the fleet protocol, driven over a socketpair
 // with run_worker on an in-process thread (no fork, so these tests can use
-// custom instrumented solvers): the versioned handshake gate and the
-// at-most-once idempotency-token guarantee that makes router retries safe.
+// custom instrumented solvers): the versioned handshake gate, fail-closed
+// parsing of data frames after it, and the at-most-once idempotency-token
+// guarantee that makes router retries safe.
 
 #include "malsched/shard/worker.hpp"
 
@@ -70,6 +71,31 @@ wire::ResultMessage read_result(int fd) {
   return message.value_or(wire::ResultMessage{});
 }
 
+// Completes a valid handshake and primes instance "a", then sends one
+// malformed data frame; returns run_worker's exit code.  A TCP worker
+// parses these bytes straight off the network, so a bad frame must end the
+// connection with the protocol-error code, never crash or hang.
+int exit_code_after_bad_frame(const std::string& bad_frame) {
+  SocketPair channel;
+  int rc = -1;
+  std::thread worker([&] {
+    const auto registry = msvc::SolverRegistry::with_default_solvers();
+    mshard::WorkerOptions options;
+    options.threads = 1;
+    rc = mshard::run_worker(channel.fds[1], registry, options);
+  });
+  const int fd = channel.fds[0];
+  EXPECT_TRUE(wire::handshake(fd, "router", std::chrono::seconds(10)));
+  EXPECT_TRUE(
+      wire::write_frame(fd, wire::encode_instance("a", small_instance())));
+  EXPECT_TRUE(wire::write_frame(fd, bad_frame));
+  // Closing turns a worker that wrongly skipped the bad frame into a clean
+  // EOF exit (code 0) instead of a hung test.
+  channel.close_end(0);
+  worker.join();
+  return rc;
+}
+
 }  // namespace
 
 TEST(Worker, GarbageGreetingIsRejectedWithExitCode2) {
@@ -89,6 +115,22 @@ TEST(Worker, GarbageGreetingIsRejectedWithExitCode2) {
   ASSERT_TRUE(wire::read_frame(channel.fds[0], &ignored));
   worker.join();
   EXPECT_EQ(rc, 2);
+}
+
+TEST(Worker, TruncatedBinarySolveAfterHandshakeExitsWithCode1) {
+  wire::SolveMessage message;
+  message.id = 1;
+  message.token = 1;
+  message.solver = "wdeq";
+  message.instance_name = "a";
+  const std::string solve = wire::encode_solve(message);
+  EXPECT_EQ(exit_code_after_bad_frame(solve.substr(0, solve.size() - 1)), 1);
+}
+
+TEST(Worker, Version3TextSolveAfterHandshakeExitsWithCode1) {
+  // The pre-v4 hexfloat text form of `solve`: its keyword still names the
+  // message, but the body is no longer a data frame this build parses.
+  EXPECT_EQ(exit_code_after_bad_frame("solve 1 1 0x1p+0 - wdeq a"), 1);
 }
 
 TEST(Worker, CompletedTokenIsReplayedVerbatimNotReSolved) {

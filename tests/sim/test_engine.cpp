@@ -114,18 +114,9 @@ TEST(Engine, EmptyInstanceProducesEmptyResult) {
   }
 }
 
-TEST(Engine, EmptyInstanceOnlineVariant) {
-  const mc::Instance empty(2.0, {});
-  const auto result = msim::run_policy_online(empty, {},
-                                              *msim::make_wdeq_policy());
-  EXPECT_EQ(result.events, 0u);
-  EXPECT_TRUE(result.completions.empty());
-}
-
 TEST(Engine, EventCountStaysWithinDefaultMaxEvents) {
   // EngineOptions documents the default budget max_events = 4n + 16; verify
-  // every built-in policy fits it with margin across families and the
-  // online arrival path (arrivals add events beyond the offline n + 1).
+  // every built-in policy fits it with margin across families.
   ms::Rng rng(229);
   for (const auto& policy : msim::all_policies()) {
     for (const auto family :
@@ -138,16 +129,8 @@ TEST(Engine, EventCountStaysWithinDefaultMaxEvents) {
         config.processors = 4.0;
         const auto inst = mc::generate(config, rng);
 
-        const auto offline = msim::run_policy(inst, *policy);
-        EXPECT_LE(offline.events, 4 * inst.size() + 16) << policy->name();
-
-        std::vector<double> release(inst.size());
-        for (std::size_t i = 0; i < release.size(); ++i) {
-          release[i] = rng.uniform(0.0, 2.0);
-        }
-        const auto online =
-            msim::run_policy_online(inst, release, *policy);
-        EXPECT_LE(online.events, 4 * inst.size() + 16) << policy->name();
+        const auto result = msim::run_policy(inst, *policy);
+        EXPECT_LE(result.events, 4 * inst.size() + 16) << policy->name();
       }
     }
   }
