@@ -9,11 +9,12 @@
 //   3. the pinned n = 12 fixture (uniform, seed 42) that the CI smoke job
 //      replays with `--quick`: the wall-time ceiling turns an accidental
 //      O(n!) regression (or a broken bound) into a red build;
-//   4. the pinned structured n = 12 batch fixture for the tail cuts: two
-//      interleaved identical-shape batches under geometric weight spreads,
-//      solved cuts-on and cuts-off.  The CI gate requires >= 5x fewer
-//      nodes with cuts on (measured ~97x) and bit-equal objectives — the
-//      acceptance bar of the exchange-cut PR, replayed on every build.
+//   4. the pinned structured n = 12 batch fixture for the identical-shape
+//      exchange cut (BnbOptions::use_cuts): two interleaved identical-shape
+//      batches under geometric weight spreads, solved cuts-on and
+//      cuts-off.  The CI gate requires >= 5x fewer nodes with the cut on
+//      (measured ~97x: 286 vs 27 745 nodes) and bit-equal objectives,
+//      replayed on every build.
 //
 // Results land in BENCH_bnb.json (see bench_common.hpp) so the perf
 // trajectory of the exact-serving path is machine-readable.
@@ -227,7 +228,7 @@ int measure_pinned(bench::BenchJson& json) {
   return time_ok && ratio_ok ? 0 : 1;
 }
 
-/// The structured tail-cut fixture: the same two-batch instance the core
+/// The structured exchange-cut fixture: the same two-batch instance the core
 /// test suite pins (tests/core/test_bnb.cpp, structured_batch_fixture) —
 /// tall-narrow v=2/δ=1 and short-wide v=1/δ=4 batches of six on P=4,
 /// geometric intra-batch weights.  Repeated shapes under heterogeneous
@@ -241,8 +242,8 @@ core::Instance structured_batch_instance() {
   return core::Instance(4.0, std::move(tasks));
 }
 
-/// CI gate for the tail cuts: cuts-on must keep a >= 5x node advantage on
-/// the structured fixture and return the bit-identical objective.
+/// CI gate for the exchange cut: cuts-on must keep a >= 5x node advantage
+/// on the structured fixture and return the bit-identical objective.
 int measure_structured_cuts(bench::BenchJson& json) {
   const auto inst = structured_batch_instance();
   core::BnbOptions off;
@@ -274,7 +275,8 @@ int measure_structured_cuts(bench::BenchJson& json) {
               node_ratio);
   const bool ratio_ok = node_ratio >= 5.0;
   const bool parity_ok = with.objective == without.objective;
-  std::printf("tail-cut gate (>= 5x fewer nodes, bit-equal objective): %s\n\n",
+  std::printf("exchange-cut gate (>= 5x fewer nodes, bit-equal objective): "
+              "%s\n\n",
               ratio_ok && parity_ok ? "PASS" : "FAIL");
   return ratio_ok && parity_ok ? 0 : 1;
 }
@@ -309,7 +311,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       bench::print_banner("E-BNB (quick)",
-                          "pinned n=12 ceiling + tail-cut gate", config);
+                          "pinned n=12 ceiling + exchange-cut gate", config);
       bench::BenchJson json("bnb", config);
       const int status = measure_pinned(json);
       const int cut_status = measure_structured_cuts(json);

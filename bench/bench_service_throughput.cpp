@@ -45,6 +45,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -628,13 +629,37 @@ bool run_sharded_vs_single(const service::SolverRegistry& registry,
 // base's first arrival hits.  Three CI gates:
 //   * the quantized hit rate must clear an absolute floor (0.5),
 //   * it must beat the legacy quotient's (simulated by first-seen counting
-//     of quantize=false keys over the same stream) by >= 20 points — the
-//     acceptance bar of the normal-form PR,
+//     of legacy_quotient_text keys over the same stream) by >= 20 points —
+//     the bar the normal form was accepted on,
 //   * replaying the stream against the warm cache must reproduce the first
 //     pass byte-for-byte (hits denormalize through the same canonical entry
 //     the miss filled, so output bytes cannot depend on cache state).
 // TinyLFU admission runs on the cache to exercise the production
 // configuration; admitted/rejected counters land in the JSON.
+
+/// Cache key of the legacy divide-only quotient, the scenario's baseline:
+/// volumes, widths and weights divided by ΣV, P and Σw, tasks stable-sorted
+/// by (V, δ, w), and no snapping of the ratios to rationals.
+std::string legacy_quotient_text(const core::Instance& instance) {
+  const double p = instance.processors();
+  const double total_v = instance.total_volume();
+  const double total_w = instance.total_weight();
+  const double v = total_v > 0.0 ? total_v : 1.0;
+  const double w = total_w > 0.0 ? total_w : 1.0;
+  std::vector<core::Task> tasks;
+  tasks.reserve(instance.size());
+  for (const core::Task& t : instance.tasks()) {
+    tasks.push_back({t.volume / v, t.width / p, t.weight / w});
+  }
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const core::Task& a, const core::Task& b) {
+                     return std::tie(a.volume, a.width, a.weight) <
+                            std::tie(b.volume, b.width, b.weight);
+                   });
+  return service::canonical_text(service::CanonicalForm{
+      core::Instance(1.0, std::move(tasks)), {}, 1.0, 1.0, 0});
+}
+
 bool run_zipf_hit_rate(const service::SolverRegistry& registry,
                        const bench::BenchConfig& config,
                        bench::BenchJson& json) {
@@ -685,16 +710,13 @@ bool run_zipf_hit_rate(const service::SolverRegistry& registry,
         service::intern(core::Instance(base.processors(), std::move(tasks))));
   }
 
-  // Legacy quotient baseline: first sight of a quantize=false key is the
-  // miss it would have been; everything else would have hit.
+  // Legacy quotient baseline: first sight of a legacy key is the miss it
+  // would have been; everything else would have hit.
   std::size_t legacy_hits = 0;
   {
     std::vector<std::string> seen;
     for (const auto& handle : stream) {
-      service::CanonicalOptions legacy;
-      legacy.quantize = false;
-      const auto form = service::canonicalize(handle.instance(), legacy);
-      std::string text = service::canonical_text(form);
+      std::string text = legacy_quotient_text(handle.instance());
       if (std::find(seen.begin(), seen.end(), text) != seen.end()) {
         ++legacy_hits;
       } else {

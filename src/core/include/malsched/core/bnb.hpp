@@ -21,31 +21,17 @@
 ///   Σ w_i · max(V_i/δ_i, (V_prefix + V_i)/P) (Definition 6 plus the same
 ///   volume argument).  Subtrees whose bound cannot beat the incumbent are
 ///   cut.
-/// * Tail cuts (use_cuts) — two redundant-by-construction prunes on top of
-///   the subset-DP bound:
-///   (a) the Queyranne-style mean-busy-time inequality
-///     Σ_{t∈F} V_t C_t ≥ max( V_pre·V_F/P + (V_F² + Σ V_t²)/(2P),
-///                            V_F²/(2P) + ½ Σ V_t h_t )
-///   over each candidate child's suffix set F (V_pre = volume completed
-///   before F; h_t = V_t/δ_t): the first member aggregates the
-///   cumulative-volume floors of any completion order of F, the second is
-///   the mean-busy-time argument of bounds.hpp (total delivery rate ≤ P
-///   front-loads, per-task rate ≤ δ_t back-loads); the node bound is the
-///   closed-form optimum of the one-cut LP min Σ w_t C_t s.t.
-///   C_t ≥ floor_t and the cut, with the LP slack landing on the smallest
-///   w_t/V_t.  A cheap secondary filter — the subset DP's per-order floor
-///   solution is feasible for this LP, so it can only win weight-pairing
-///   corner cases.
-///   (b) the identical-shape exchange cut, the workhorse: tasks with
-///   exactly equal (V, δ_eff) can swap delivery profiles verbatim, so some
-///   optimal order completes each shape class in weight-descending order
-///   and every other interleaving of the class is never generated.  This
-///   collapses structured batch workloads (repeated shapes, heterogeneous
-///   weights) whose near-tied orders the completion-floor bounds cannot
-///   separate; on continuous instances exact shape collisions never occur
-///   and the cut is inert.  Cut pruning never reorders children (siblings
-///   sort by the DP bound in both modes), so enabling cuts can only remove
-///   subtrees, never explore new ones.
+/// * Exchange cut (use_cuts) — a redundant-by-construction prune on top of
+///   the subset-DP bound: tasks with exactly equal (V, δ_eff) can swap
+///   delivery profiles verbatim, so some optimal order completes each
+///   shape class in weight-descending order and every other interleaving
+///   of the class is never generated.  This collapses structured batch
+///   workloads (repeated shapes, heterogeneous weights) whose near-tied
+///   orders the completion-floor bounds cannot separate; on continuous
+///   instances exact shape collisions never occur and the cut is inert.
+///   The cut never reorders children (siblings sort by the DP bound in
+///   both modes), so enabling it can only remove subtrees, never explore
+///   new ones.
 /// * Incumbent-aware sibling pruning — children are sorted by ascending
 ///   bound, so the moment one sibling is prunable after an incumbent
 ///   improvement the entire sorted tail is prunable with it; the loop
@@ -84,14 +70,11 @@ struct BnbOptions {
   /// Skip dominated branches (identical-task symmetry, zero-volume/weight
   /// pinning).
   bool use_dominance = true;
-  /// Also apply the tail cuts: the Queyranne-style mean-busy-time
-  /// inequality and the identical-shape exchange cut (see the file
-  /// comment).  Only ever tighten: the inequality joins the subset-DP
-  /// bound via max() in the prune checks and never changes sibling order,
-  /// the exchange cut removes provably redundant shape-class orderings, so
-  /// node counts with cuts on are ≤ node counts with cuts off — the
-  /// property the differential suite pins.  No effect when `use_bounds` is
-  /// false.
+  /// Also apply the identical-shape exchange cut (see the file comment).
+  /// It only removes provably redundant shape-class orderings and never
+  /// changes sibling order, so node counts with the cut on are ≤ node
+  /// counts with it off — the property the differential suite pins.  No
+  /// effect when `use_bounds` is false.
   bool use_cuts = true;
   /// Relative pruning slack: a subtree is cut when its bound is within
   /// slack·max(1, |incumbent|) of the incumbent, absorbing simplex noise.
@@ -112,10 +95,8 @@ struct BnbStats {
   std::size_t leaves = 0;            ///< complete orders evaluated
   std::size_t lp_evaluations = 0;    ///< order-LP solves, seeds included
   std::size_t pruned_by_bound = 0;   ///< subtrees cut by the subset-DP bound
-  std::size_t pruned_by_cut = 0;     ///< subtrees cut by the tail cuts:
-                                     ///< busy-time inequality prunes (only
-                                     ///< where the DP bound passed) plus
-                                     ///< exchange-cut eliminations
+  std::size_t pruned_by_cut = 0;     ///< branches never generated by the
+                                     ///< identical-shape exchange cut
   std::size_t pruned_by_dominance = 0;  ///< branches never generated
 };
 

@@ -11,21 +11,6 @@
 /// * Mixed bound (Lemma 1): for any split V_i = V¹_i + V²_i,
 ///   OPT(I) ≥ A(I[V¹]) + H(I[V²]).  WDEQ's analysis instantiates the split
 ///   with the limited/full volumes of the run.
-/// * Mean-busy-time bound (Queyranne-style): a volume-aggregated cut on the
-///   completion times themselves.  Writing M_i for task i's mean busy time
-///   (the volume-weighted average instant at which its work is delivered),
-///   two facts hold for every feasible schedule:
-///     Σ V_i M_i ≥ (Σ V_i)² / (2P)        (total delivery rate ≤ P, so the
-///                                          front-loaded profile minimizes),
-///     M_i ≤ C_i − h_i/2, h_i = V_i/δ_i    (per-task rate ≤ δ_i, so the
-///                                          back-loaded profile maximizes).
-///   Combining: Σ V_i C_i ≥ (Σ V_i)²/(2P) + ½ Σ V_i h_i.  The bound below
-///   is the exact optimum of   min Σ w_i C_i   subject to that single cut
-///   plus the per-task floors C_i ≥ max(V_i/P, h_i) — a one-constraint LP
-///   whose closed form charges the slack to the smallest w_i/V_i ratio.
-///   The height term ½ Σ V_i h_i is what neither A(I) nor H(I) expresses:
-///   A collapses widths, H ignores the shared machine.  bnb.cpp evaluates
-///   the same cut incrementally over search-suffix sets.
 
 #include <span>
 
@@ -43,11 +28,6 @@ namespace malsched::core {
 /// Each v1[i] must lie in [0, V_i].
 [[nodiscard]] double mixed_lower_bound(const Instance& instance,
                                        std::span<const double> v1);
-
-/// The Queyranne-style mean-busy-time bound described above:
-/// min Σ w_i C_i s.t. C_i ≥ max(V_i/P, h_i) and
-/// Σ V_i C_i ≥ (Σ V_i)²/(2P) + ½ Σ V_i h_i, solved in closed form.
-[[nodiscard]] double mean_busy_time_bound(const Instance& instance);
 
 /// max(A(I), H(I)) — the generic certificate used when no schedule-specific
 /// split is available.

@@ -7,7 +7,7 @@
 /// truth against which WDEQ's ratio, greedy's conjectured optimality
 /// (Conjecture 12) and Theorem 11 are checked); above the crossover the
 /// call delegates to the branch-and-bound of bnb.hpp, which searches the
-/// same space with pruning and opens n ≈ 15 to exact serving.
+/// same space with pruning and opens n ≤ 18 to exact serving.
 
 #include <vector>
 
@@ -19,9 +19,10 @@ namespace malsched::core {
 
 struct OptimalOptions {
   /// Hard guard — branch-and-bound is worst-case exponential; 18 stays
-  /// interactive single-thread now that the mean-busy-time cuts trim the
-  /// structured-family tails (the n ≤ 9 limit of the pure-enumeration era
-  /// and the n ≤ 15 limit of the DP-bound era are both gone).
+  /// interactive single-thread now that the subset-DP bound and the
+  /// identical-shape exchange cut trim the search (the n ≤ 9 limit of the
+  /// pure-enumeration era and the n ≤ 15 limit before the exchange cut are
+  /// both gone).
   std::size_t max_tasks = 18;
   /// Also build the optimal schedule (slightly slower).
   bool want_schedule = false;

@@ -206,67 +206,6 @@ class Searcher {
                     std::max(set_max_height_[prefix_mask], heights_[t]));
   }
 
-  /// Queyranne-style mean-busy-time bound on what the suffix set `free`
-  /// adds to the objective when everything in `prefix_mask` completed
-  /// first: the closed-form optimum of
-  ///   min Σ w_t C_t   s.t.  C_t ≥ floor_t  and  Σ V_t C_t ≥ Q(free)
-  /// with Q the stronger of the cumulative-volume aggregation
-  ///   V_pre·V_F/P + (V_F² + Σ V_t²)/(2P)
-  /// (sum the per-position floors C_(i) ≥ (V_pre + cumV_i)/P weighted by
-  /// V_(i) — order-independent) and the busy-time aggregation
-  ///   V_F²/(2P) + ½ Σ V_t h_t
-  /// (Σ V_t M_t ≥ V_F²/(2P) since total delivery rate ≤ P, and
-  /// M_t ≤ C_t − h_t/2 since per-task rate ≤ δ_t; the prefix offset is NOT
-  /// valid here — suffix delivery may overlap the prefix).  The LP slack
-  /// lands on the smallest w_t/V_t — exact for this one-constraint LP (a
-  /// vertex puts all slack on one task), but lossy when w/V spreads.
-  ///
-  /// Honesty note: the subset DP's per-order floor solution C_(i) =
-  /// max((V_pre + cumV_i)/P, running-max height) is *feasible* for this LP
-  /// (position-summing the floors recovers both aggregations, the height
-  /// halves by max(a,h) ≥ (a+h)/2 at every crossover), so the inequality
-  /// can out-prune the DP only through the weight-pairing corner cases the
-  /// one-constraint relaxation happens to price differently — it is a
-  /// cheap secondary filter, not the workhorse.  The node reductions on
-  /// structured families come from the identical-shape exchange cut built
-  /// in the constructor.  O(|free|) per call.
-  [[nodiscard]] double cut_bound(std::uint32_t prefix_mask,
-                                 std::uint32_t free) const {
-    const double before_volume = set_volume_[prefix_mask];
-    const double before_height = set_max_height_[prefix_mask];
-    const double free_volume = set_volume_[free];
-    double sum_sq = 0.0;   // Σ V_t²
-    double sum_vh = 0.0;   // Σ V_t h_t
-    double base = 0.0;     // Σ w_t floor_t
-    double have = 0.0;     // Σ V_t floor_t
-    double min_ratio = kInf;
-    for (std::uint32_t rest = free; rest != 0u;) {
-      const std::uint32_t low = rest & (~rest + 1u);
-      rest ^= low;
-      const auto t = static_cast<std::size_t>(std::countr_zero(low));
-      const Task& task = instance_.task(t);
-      const double floor_t =
-          std::max((before_volume + task.volume) / processors_,
-                   std::max(before_height, heights_[t]));
-      base += task.weight * floor_t;
-      have += task.volume * floor_t;
-      sum_sq += task.volume * task.volume;
-      sum_vh += task.volume * heights_[t];
-      if (task.volume > 0.0) {
-        min_ratio = std::min(min_ratio, task.weight / task.volume);
-      }
-    }
-    const double cut = std::max(
-        (before_volume * free_volume +
-         0.5 * (free_volume * free_volume + sum_sq)) /
-            processors_,
-        free_volume * free_volume / (2.0 * processors_) + 0.5 * sum_vh);
-    if (cut > have && std::isfinite(min_ratio)) {
-      base += (cut - have) * min_ratio;
-    }
-    return base;
-  }
-
   [[nodiscard]] std::uint32_t free_mask(std::uint32_t used_mask) const {
     return full_mask() & ~used_mask;
   }
@@ -341,8 +280,7 @@ class Searcher {
 
     struct Child {
       std::size_t task;
-      double bound;        ///< subset-DP bound: the sort key in both modes
-      double prune_bound;  ///< max(bound, cut bound): prune checks only
+      double bound;  ///< subset-DP bound: the sort key
       double greedy_completion;
     };
     std::vector<Child> children;
@@ -361,42 +299,24 @@ class Searcher {
         // Exchange cut: an identical-shape task with strictly larger
         // weight (index on ties) is still free, and some optimal order
         // completes it first, so this child's subtree is redundant.  Gated
-        // with the
-        // bounds like the inequality cut, so `use_cuts` without
-        // `use_bounds` stays inert.
+        // with the bounds, so `use_cuts` without `use_bounds` stays inert.
         ++stats_.pruned_by_cut;
         continue;
       }
       double bound = -kInf;
-      double prune_bound = -kInf;
       if (options_.use_bounds) {
         // Pre-LP bound: exact prefix LP + the candidate's completion floor
         // + the subset-DP relaxation over the rest.  The parts bound
         // disjoint terms of the objective, so the sum is admissible.
-        const double head =
-            prefix_objective +
-            instance_.task(t).weight * completion_floor(used_, t);
-        bound = head + suffix_dp_[free_mask(used_ | bit(t))];
+        bound = prefix_objective +
+                instance_.task(t).weight * completion_floor(used_, t) +
+                suffix_dp_[free_mask(used_ | bit(t))];
         if (prunable(bound)) {
           ++stats_.pruned_by_bound;
           continue;
         }
-        prune_bound = bound;
-        if (options_.use_cuts) {
-          // The busy-time cut joins via max() and is kept out of the sort
-          // key below, so enabling cuts never reorders siblings — it can
-          // only remove subtrees the DP bound would have descended into.
-          prune_bound = std::max(
-              bound, head + cut_bound(used_ | bit(t),
-                                      free_mask(used_ | bit(t))));
-          if (prunable(prune_bound)) {
-            ++stats_.pruned_by_cut;
-            continue;
-          }
-        }
       }
-      children.push_back(
-          {t, bound, prune_bound, evaluator_.greedy_completion(t)});
+      children.push_back({t, bound, evaluator_.greedy_completion(t)});
     }
 
     if (options_.use_bounds) {
@@ -427,13 +347,6 @@ class Searcher {
         stats_.pruned_by_bound += children.size() - c;
         break;
       }
-      if (options_.use_bounds && options_.use_cuts &&
-          prunable(child.prune_bound)) {
-        // Cut bounds are not monotone along the DP-sorted order, so a cut
-        // prune skips only this sibling.
-        ++stats_.pruned_by_cut;
-        continue;
-      }
       // Interior nodes warm-start from the parent basis; the leaf re-solves
       // from scratch so its objective is bit-identical with enumeration's.
       const bool leaf_push = depth + 1 == n_;
@@ -441,24 +354,13 @@ class Searcher {
       ++stats_.nodes;
       used_ |= bit(child.task);
 
-      bool descend = true;
-      if (options_.use_bounds && evaluator_.depth() < n_) {
-        // Refined bound: the exact (prefix + child) LP replaces the cheap
-        // prefix-plus-one-task estimate.
-        const double refined =
-            std::max(child.bound, pushed + suffix_dp_[free_mask(used_)]);
-        if (prunable(refined)) {
-          ++stats_.pruned_by_bound;
-          descend = false;
-        } else if (options_.use_cuts &&
-                   prunable(std::max(
-                       refined,
-                       pushed + cut_bound(used_, free_mask(used_))))) {
-          ++stats_.pruned_by_cut;
-          descend = false;
-        }
-      }
-      if (descend) {
+      // Refined bound: the exact (prefix + child) LP replaces the cheap
+      // prefix-plus-one-task estimate.
+      if (options_.use_bounds && evaluator_.depth() < n_ &&
+          prunable(std::max(child.bound,
+                            pushed + suffix_dp_[free_mask(used_)]))) {
+        ++stats_.pruned_by_bound;
+      } else {
         dfs();
       }
 

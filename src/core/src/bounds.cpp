@@ -1,8 +1,6 @@
 #include "malsched/core/bounds.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -60,35 +58,6 @@ double mixed_lower_bound(const Instance& instance, std::span<const double> v1) {
   }
   return squashed_area_bound(instance.with_volumes(v1_clamped)) +
          height_bound(instance.with_volumes(v2));
-}
-
-double mean_busy_time_bound(const Instance& instance) {
-  const double p = instance.processors();
-  double total_volume = 0.0;
-  double sum_vh = 0.0;      // Σ V_i h_i
-  double base = 0.0;        // Σ w_i floor_i
-  double have = 0.0;        // Σ V_i floor_i
-  double min_ratio = std::numeric_limits<double>::infinity();  // min w_i/V_i
-  for (std::size_t i = 0; i < instance.size(); ++i) {
-    const Task& t = instance.task(i);
-    if (t.volume <= 0.0) {
-      continue;  // completes at 0; contributes nothing to either side
-    }
-    const double h = t.volume / instance.effective_width(i);
-    const double floor_i = std::max(t.volume / p, h);
-    total_volume += t.volume;
-    sum_vh += t.volume * h;
-    base += t.weight * floor_i;
-    have += t.volume * floor_i;
-    min_ratio = std::min(min_ratio, t.weight / t.volume);
-  }
-  const double cut = total_volume * total_volume / (2.0 * p) + 0.5 * sum_vh;
-  if (cut > have && std::isfinite(min_ratio)) {
-    // The one-cut LP raises the cheapest weight-per-volume completion time
-    // until Σ V_i C_i meets the cut; everything else stays on its floor.
-    base += (cut - have) * min_ratio;
-  }
-  return base;
 }
 
 double best_simple_lower_bound(const Instance& instance) {

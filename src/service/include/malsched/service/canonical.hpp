@@ -27,9 +27,10 @@
 /// canonical doubles, the same key, and (crucially) the same canonical
 /// instance: a hit replays a solve of bit-identical input, so cached and
 /// fresh answers are byte-identical through write_results.  Ratios too
-/// irrational for a denominator ≤ 2^26 pass through unquantized, which
-/// degrades exactly to the old behaviour (a missed dedup just re-solves —
-/// the cache stays correct either way).  Quantization perturbs the solved
+/// irrational for a denominator ≤ 2^26 pass through as the plain divided
+/// double, so such an instance dedupes only with its identical and
+/// power-of-two-scaled presentations (a missed dedup just re-solves — the
+/// cache stays correct either way).  Quantization perturbs the solved
 /// instance by ≤ kQuantizationTol relatively, orders of magnitude below
 /// every solver/validator tolerance (~1e-9).
 
@@ -80,11 +81,6 @@ struct CanonicalOptions {
   /// semantics depend on task order (e.g. fifo-rigid schedules by id), which
   /// then share only the scale quotient.
   bool permute = true;
-  /// Snap ratios to reduced rationals (the scale-invariant key).  Disable to
-  /// get the legacy divide-only quotient, which dedupes only identical and
-  /// power-of-two-scaled instances — kept for differential benchmarking of
-  /// the hit-rate gain, not for production use.
-  bool quantize = true;
 };
 
 /// Computes the normal form.  Zero-task instances canonicalize to themselves

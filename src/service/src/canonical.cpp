@@ -116,17 +116,12 @@ CanonicalForm canonicalize(const core::Instance& instance,
 
   std::vector<core::Task> tasks(n);
   for (std::size_t i = 0; i < n; ++i) {
-    tasks[i].volume = instance.task(i).volume / v;
-    tasks[i].width = instance.task(i).width / p;
-    tasks[i].weight = instance.task(i).weight / w;
-    if (options.quantize) {
-      // Rebuild the canonical values from the snapped rationals: every
-      // member of the equivalence class then solves the *same* canonical
-      // instance, which is what makes a hit byte-identical to a fresh solve.
-      tasks[i].volume = quantize_ratio(tasks[i].volume);
-      tasks[i].width = quantize_ratio(tasks[i].width);
-      tasks[i].weight = quantize_ratio(tasks[i].weight);
-    }
+    // Rebuild the canonical values from the snapped rationals: every member
+    // of the equivalence class then solves the *same* canonical instance,
+    // which is what makes a hit byte-identical to a fresh solve.
+    tasks[i].volume = quantize_ratio(instance.task(i).volume / v);
+    tasks[i].width = quantize_ratio(instance.task(i).width / p);
+    tasks[i].weight = quantize_ratio(instance.task(i).weight / w);
   }
   if (options.permute) {
     std::stable_sort(perm.begin(), perm.end(),

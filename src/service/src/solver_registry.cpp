@@ -165,10 +165,10 @@ SolveResult solve_order_lp_smith(const core::Instance& instance) {
 
 SolveResult solve_optimal(const core::Instance& instance,
                           const SolveContext& context) {
-  // Branch-and-bound (PR 3) raised the exact-serving guard from the n <= 9
-  // of the pure-enumeration era to n <= 15; the mean-busy-time cuts raised
-  // it again to OptimalOptions' n <= 18 default.  Beyond it the typed
-  // SizeGuard error stands.
+  // Branch-and-bound with the subset-DP bound raised the exact-serving
+  // guard from the n <= 9 of the pure-enumeration era to n <= 15; the
+  // identical-shape exchange cut raised it again to OptimalOptions' n <= 18
+  // default.  Beyond it the typed SizeGuard error stands.
   core::OptimalOptions options;
   options.want_schedule = true;
   options.cancel = context.cancel;
@@ -362,7 +362,8 @@ SolverRegistry SolverRegistry::with_default_solvers() {
     info.fn = solve_optimal;
     info.description =
         "exact optimum: n! enumeration for tiny n, branch-and-bound with "
-        "mean-busy-time cuts over completion orders beyond (guard n <= 18)";
+        "a subset-DP bound and an identical-shape exchange cut over "
+        "completion orders beyond (guard n <= 18)";
     info.cancellable = true;
     info.cost_hint = optimal_cost;
     registry.register_solver("optimal", std::move(info));

@@ -179,6 +179,7 @@ struct SolveMessage {
   std::uint64_t token = 0;
   double priority_weight = 1.0;
   /// Latency budget in seconds from worker-side admission; unset = none.
+  /// decode_solve rejects a negative, NaN or infinite budget.
   std::optional<double> deadline_seconds;
   std::string solver;
   std::string instance_name;

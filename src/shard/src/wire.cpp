@@ -1,6 +1,7 @@
 #include "malsched/shard/wire.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -343,8 +344,9 @@ std::optional<SolveMessage> decode_solve(const std::string& payload) {
     return std::nullopt;
   }
   if (has_deadline == 1) {
+    // A NaN or infinite budget would reach the worker's duration_cast.
     const double seconds = in.get_f64();
-    if (seconds < 0.0) {
+    if (!std::isfinite(seconds) || seconds < 0.0) {
       return std::nullopt;
     }
     message.deadline_seconds = seconds;

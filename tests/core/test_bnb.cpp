@@ -1,7 +1,8 @@
 // Branch-and-bound exactness: the pruned search must return the same
 // optimum as n! enumeration on every fixture and across every generator
-// family, the pruning machinery must degenerate to exhaustive enumeration
-// when disabled, and the OrderLpEvaluator's warm-started prefix values must
+// family, the identical-shape exchange cut may only shrink the tree, the
+// pruning machinery must degenerate to exhaustive enumeration when
+// disabled, and the OrderLpEvaluator's warm-started prefix values must
 // agree with from-scratch order-LP solves through arbitrary push/pop walks.
 
 #include "malsched/core/bnb.hpp"
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "malsched/core/generators.hpp"
@@ -124,59 +126,69 @@ TEST(Bnb, DisabledPruningVisitsExactlyFactorialLeaves) {
   EXPECT_GT(pruned.stats.pruned_by_bound, 0u);
 }
 
-TEST(BnbCuts, DifferentialFuzzCutsPreserveTheSearchContract) {
-  // The tail cuts are *redundant* constraints: they may only remove
-  // subtrees the DP bound would have explored, never change the answer.
-  // On these continuous generator families the identical-shape exchange
-  // cut is provably inert (exact shape collisions have probability zero),
-  // so even the returned order must match bit for bit.  Three-way
-  // differential per instance, >= 50 seeded instances per generator
-  // family:
+// One ctest case per generator family, so `ctest -j` runs the families in
+// parallel instead of behind one serial loop.
+class BnbCutsFuzz : public ::testing::TestWithParam<mc::Family> {};
+
+TEST_P(BnbCutsFuzz, DifferentialFuzzCutsPreserveTheSearchContract) {
+  // The exchange cut is *redundant*: it may only remove subtrees the DP
+  // bound would have explored, never change the answer.  On these
+  // continuous generator families it is provably inert (exact shape
+  // collisions have probability zero), so even the returned order must
+  // match bit for bit.  Three-way differential per instance, 50 seeded
+  // instances of the family:
   //   * cuts-on vs cuts-off objective is EXPECT_EQ — both searches keep the
   //     incumbent in the same double arithmetic, so parity is exact, not
   //     approximate;
   //   * cuts-on never expands more nodes than cuts-off (children are sorted
   //     by the DP bound in both modes, so the cut can only subtract);
   //   * below the enumeration crossover, both agree with the n! baseline.
-  for (const mc::Family family : mc::all_families()) {
-    ms::Rng rng(911 + static_cast<std::uint64_t>(family));
-    for (int rep = 0; rep < 50; ++rep) {
-      mc::GeneratorConfig config;
-      config.family = family;
-      // n caps at 7: the narrow families' cuts-off trees grow factorially
-      // and n = 8 alone multiplies the suite's wall time several-fold
-      // without adding differential coverage.
-      config.num_tasks = 4 + static_cast<std::size_t>(rep % 4);
-      config.processors = (rep % 3 == 0) ? 2.0 : 4.0;
-      const auto inst = mc::generate(config, rng);
+  const mc::Family family = GetParam();
+  ms::Rng rng(911 + static_cast<std::uint64_t>(family));
+  for (int rep = 0; rep < 50; ++rep) {
+    mc::GeneratorConfig config;
+    config.family = family;
+    // n caps at 7: the narrow families' cuts-off trees grow factorially
+    // and n = 8 alone multiplies the suite's wall time several-fold
+    // without adding differential coverage.
+    config.num_tasks = 4 + static_cast<std::size_t>(rep % 4);
+    config.processors = (rep % 3 == 0) ? 2.0 : 4.0;
+    const auto inst = mc::generate(config, rng);
 
-      mc::BnbOptions off;
-      off.use_cuts = false;
-      const auto without = mc::branch_and_bound(inst, off);
-      const auto with = mc::branch_and_bound(inst);  // cuts default on
+    mc::BnbOptions off;
+    off.use_cuts = false;
+    const auto without = mc::branch_and_bound(inst, off);
+    const auto with = mc::branch_and_bound(inst);  // cuts default on
 
-      EXPECT_EQ(with.objective, without.objective)
-          << mc::family_name(family) << " rep " << rep << " n " << inst.size();
-      EXPECT_EQ(with.order, without.order)
+    EXPECT_EQ(with.objective, without.objective)
+        << mc::family_name(family) << " rep " << rep << " n " << inst.size();
+    EXPECT_EQ(with.order, without.order)
+        << mc::family_name(family) << " rep " << rep;
+    EXPECT_LE(with.stats.nodes, without.stats.nodes)
+        << mc::family_name(family) << " rep " << rep
+        << ": cuts expanded the tree";
+    EXPECT_EQ(without.stats.pruned_by_cut, 0u);
+
+    if (inst.size() <= 6) {
+      const auto enumerated = mc::optimal_by_enumeration(inst);
+      EXPECT_LT(relative_gap(with.objective, enumerated.objective), 1e-6)
           << mc::family_name(family) << " rep " << rep;
-      EXPECT_LE(with.stats.nodes, without.stats.nodes)
-          << mc::family_name(family) << " rep " << rep
-          << ": cuts expanded the tree";
-      EXPECT_EQ(without.stats.pruned_by_cut, 0u);
-
-      if (inst.size() <= 6) {
-        const auto enumerated = mc::optimal_by_enumeration(inst);
-        EXPECT_LT(relative_gap(with.objective, enumerated.objective), 1e-6)
-            << mc::family_name(family) << " rep " << rep;
-      }
     }
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(AllFamilies, BnbCutsFuzz,
+                         ::testing::ValuesIn(mc::all_families()),
+                         [](const auto& info) {
+                           std::string name = mc::family_name(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
 TEST(BnbCuts, CutsOffReproducesTheDpBoundEraTree) {
   // With use_cuts = false the search must be byte-for-byte the pre-cut
   // algorithm: same stats, zero cut prunes, and use_cuts without use_bounds
-  // is inert (the cut shares the bound infrastructure).
+  // is inert (the exchange cut is gated with the bounds).
   ms::Rng rng(404);
   mc::GeneratorConfig config;
   config.family = mc::Family::Uniform;
@@ -262,10 +274,10 @@ TEST(BnbCuts, ExchangeCutStaysExactOnShapeClassInstances) {
 }
 
 TEST(BnbCuts, PinnedStructuredFixtureCollapsesFiveFold) {
-  // The CI gate from this PR's acceptance criteria, pinned as a regression
-  // fixture: on the structured n=12 batch instance the exchange cut must
-  // keep at least a 5x node advantage over the cuts-off search (measured
-  // ~97x when pinned) while returning the identical optimal order, whose
+  // bench_bnb's CI gate, pinned as a regression fixture: on the structured
+  // n=12 batch instance the exchange cut must keep at least a 5x node
+  // advantage over the cuts-off search (measured ~97x: 286 vs 27 745
+  // nodes) while returning the identical optimal order, whose
   // from-scratch leaf re-solve makes the objectives bit-equal.  The
   // absolute pins keep both trees from regressing independently: cuts-on
   // must stay collapsed, cuts-off documents the DP-bound-era cost of this

@@ -71,8 +71,8 @@ TEST(Optimal, EnumerationCountsFactorial) {
 }
 
 TEST(OptimalDeath, RefusesLargeInstances) {
-  // Branch-and-bound opened n <= 15 and the mean-busy-time cuts n <= 18;
-  // the guard now sits there.
+  // Branch-and-bound with the subset-DP bound opened n <= 15 and the
+  // exchange cut n <= 18; the guard now sits there.
   std::vector<mc::Task> tasks(19, {1.0, 1.0, 1.0});
   const mc::Instance inst(2.0, std::move(tasks));
   EXPECT_DEATH((void)mc::optimal_by_enumeration(inst), "factorial");

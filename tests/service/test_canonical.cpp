@@ -189,6 +189,19 @@ TEST(Canonical, ArbitraryRescalingsShareKeyAndCanonicalInstance) {
   const double scales[][3] = {{3.0, 1.0, 1.0},     {1.0, 7.0, 1.0},
                               {1.0, 1.0, 0.013},   {3.7, 1.9, 42.0},
                               {1.0 / 3.0, 5.0, 9.0}, {1e-3, 1e2, 1e4}};
+  // A pinned odd rescale: tripling these volumes and dividing by the new
+  // sum lands at least one ratio an ulp away from the original's, so a
+  // divide-only quotient would miss the key that the quantized form shares.
+  const mc::Instance odd(4.0, {{0.1, 2.0, 1.0}, {0.2, 1.0, 0.5},
+                               {0.7, 4.0, 2.0}});
+  const mc::Instance tripled = rescale(odd, 3.0, 1.0, 1.0);
+  bool ulp_drift = false;
+  for (std::size_t i = 0; i < odd.size(); ++i) {
+    ulp_drift |= odd.task(i).volume / odd.total_volume() !=
+                 tripled.task(i).volume / tripled.total_volume();
+  }
+  ASSERT_TRUE(ulp_drift) << "the pinned rescale must drift in ulps";
+  EXPECT_EQ(msvc::canonicalize(odd).key, msvc::canonicalize(tripled).key);
   for (const mc::Family family : mc::all_families()) {
     ms::Rng rng(777 + static_cast<std::uint64_t>(family));
     for (int rep = 0; rep < 10; ++rep) {
@@ -233,24 +246,6 @@ TEST(Canonical, QuantizationTwinsShareTheKey) {
   const auto fb = msvc::canonicalize(b);
   EXPECT_EQ(fa.key, fb.key);
   EXPECT_EQ(msvc::canonical_text(fa), msvc::canonical_text(fb));
-}
-
-TEST(Canonical, LegacyQuantizeOffDedupesOnlyExactScalings) {
-  // quantize = false is the pre-rational quotient, kept for differential
-  // benchmarking: power-of-two scalings still unify (exact binary ops) but
-  // an odd rescaling drifts the ratios by an ulp and misses the key.
-  const mc::Instance inst(4.0, {{0.1, 2.0, 1.0}, {0.2, 1.0, 0.5},
-                                {0.7, 4.0, 2.0}});
-  msvc::CanonicalOptions legacy;
-  legacy.quantize = false;
-  const auto form = msvc::canonicalize(inst, legacy);
-  EXPECT_EQ(form.key,
-            msvc::canonicalize(rescale(inst, 4.0, 2.0, 0.5), legacy).key);
-  EXPECT_NE(form.key,
-            msvc::canonicalize(rescale(inst, 3.0, 1.0, 1.0), legacy).key);
-  // The quantized form unifies exactly that miss.
-  EXPECT_EQ(msvc::canonicalize(inst).key,
-            msvc::canonicalize(rescale(inst, 3.0, 1.0, 1.0)).key);
 }
 
 TEST(Canonical, CacheHitReplaysByteIdenticalResults) {

@@ -535,15 +535,6 @@ TEST(WireBinary, SolveRoundTripPreservesHostileDoubles) {
   EXPECT_TRUE(bits_equal(*decoded->deadline_seconds,
                          *message.deadline_seconds));
 
-  // A NaN deadline is not `< 0.0`, so the decoder passes it through with
-  // its payload bits intact.
-  message.deadline_seconds = from_bits(0x7FF8000000000099ull);
-  decoded = wire::decode_solve(
-      wire::encode_solve(message, wire::Dialect::Binary));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(bits_equal(*decoded->deadline_seconds,
-                         *message.deadline_seconds));
-
   message.deadline_seconds.reset();
   decoded = wire::decode_solve(
       wire::encode_solve(message, wire::Dialect::Binary));
@@ -669,6 +660,30 @@ TEST(WireBinary, SolveDecodeRejectsAnOutOfRangeDeadlineFlag) {
   ASSERT_TRUE(wire::decode_solve(payload).has_value());
   patch_u8(payload, kSolveHasDeadline, 2);  // a flag byte is 0 or 1
   EXPECT_FALSE(wire::decode_solve(payload).has_value());
+}
+
+TEST(WireBinary, SolveDecodeRejectsNonFiniteDeadlines) {
+  // The worker turns a deadline into a steady_clock duration; a NaN or an
+  // infinite budget from a TCP peer must stop at the decoder instead.
+  wire::SolveMessage solve;
+  solve.id = 1;
+  solve.token = 2;
+  solve.deadline_seconds = 0.5;
+  solve.solver = "wdeq";
+  solve.instance_name = "x";
+  std::string payload = wire::encode_solve(solve);
+  ASSERT_TRUE(wire::decode_solve(payload).has_value());
+  for (const std::uint64_t bits :
+       {0x7FF8000000000000ull,    // quiet NaN
+        0x7FF8000000000099ull,    // quiet NaN with a payload
+        0xFFF8000000000001ull,    // negative quiet NaN
+        0x7FF0000000000001ull,    // signaling-NaN bit pattern
+        0x7FF0000000000000ull,    // +inf
+        0xFFF0000000000000ull}) {  // -inf
+    patch_f64(payload, kSolveHasDeadline + 1, from_bits(bits));
+    EXPECT_FALSE(wire::decode_solve(payload).has_value())
+        << std::hex << bits;
+  }
 }
 
 TEST(WireBinary, ResultDecodeRejectsHugeCompletionCount) {

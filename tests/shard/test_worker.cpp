@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +132,18 @@ TEST(Worker, Version3TextSolveAfterHandshakeExitsWithCode1) {
   // The pre-v4 hexfloat text form of `solve`: its keyword still names the
   // message, but the body is no longer a data frame this build parses.
   EXPECT_EQ(exit_code_after_bad_frame("solve 1 1 0x1p+0 - wdeq a"), 1);
+}
+
+TEST(Worker, NanDeadlineSolveAfterHandshakeExitsWithCode1) {
+  // A well-formed solve whose deadline is NaN: admitting it would hand the
+  // NaN to a steady_clock duration_cast, so it is a protocol error.
+  wire::SolveMessage message;
+  message.id = 1;
+  message.token = 1;
+  message.deadline_seconds = std::numeric_limits<double>::quiet_NaN();
+  message.solver = "wdeq";
+  message.instance_name = "a";
+  EXPECT_EQ(exit_code_after_bad_frame(wire::encode_solve(message)), 1);
 }
 
 TEST(Worker, CompletedTokenIsReplayedVerbatimNotReSolved) {
