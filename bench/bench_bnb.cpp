@@ -210,6 +210,8 @@ int measure_pinned(bench::BenchJson& json) {
   json.add("pinned_uniform_n12", "nodes", static_cast<double>(result.stats.nodes));
   json.add("pinned_uniform_n12", "leaves",
            static_cast<double>(result.stats.leaves));
+  json.add("pinned_uniform_n12", "leaf_resolves",
+           static_cast<double>(result.stats.leaf_resolves));
   json.add("pinned_uniform_n12", "lp_evaluations",
            static_cast<double>(result.stats.lp_evaluations));
   json.add("pinned_uniform_n12", "factorial_over_lp", ratio);
@@ -217,9 +219,11 @@ int measure_pinned(bench::BenchJson& json) {
   json.add("pinned_uniform_n12", "ceiling_seconds", ceiling_seconds);
 
   std::printf("pinned uniform n=12 (seed %llu): objective %.6f in %.2fs — "
-              "%zu nodes, %zu LP evals (n!/LPs = %.0fx, bar >= 100x)\n",
+              "%zu nodes, %zu of %zu leaves re-solved, %zu LP evals "
+              "(n!/LPs = %.0fx, bar >= 100x)\n",
               static_cast<unsigned long long>(kPinnedSeed), result.objective,
-              seconds, result.stats.nodes, result.stats.lp_evaluations, ratio);
+              seconds, result.stats.nodes, result.stats.leaf_resolves,
+              result.stats.leaves, result.stats.lp_evaluations, ratio);
   const bool time_ok = seconds <= ceiling_seconds;
   const bool ratio_ok = ratio >= 100.0;
   std::printf("ceiling %.0fs: %s;  LP-reduction bar: %s\n\n", ceiling_seconds,
@@ -265,14 +269,20 @@ int measure_structured_cuts(bench::BenchJson& json) {
   json.add("structured_cuts_n12", "cuts_off_nodes",
            static_cast<double>(without.stats.nodes));
   json.add("structured_cuts_n12", "node_ratio", node_ratio);
+  json.add("structured_cuts_n12", "cuts_on_leaf_resolves",
+           static_cast<double>(with.stats.leaf_resolves));
+  json.add("structured_cuts_n12", "cuts_off_leaf_resolves",
+           static_cast<double>(without.stats.leaf_resolves));
   json.add("structured_cuts_n12", "cut_prunes",
            static_cast<double>(with.stats.pruned_by_cut));
   json.add("structured_cuts_n12", "objective", with.objective);
 
   std::printf("structured batch n=12: cuts-on %zu nodes (%.2fs) vs cuts-off "
-              "%zu nodes (%.2fs) — %.0fx\n",
+              "%zu nodes (%.2fs) — %.0fx; leaves re-solved %zu of %zu vs "
+              "%zu of %zu\n",
               with.stats.nodes, on_seconds, without.stats.nodes, off_seconds,
-              node_ratio);
+              node_ratio, with.stats.leaf_resolves, with.stats.leaves,
+              without.stats.leaf_resolves, without.stats.leaves);
   const bool ratio_ok = node_ratio >= 5.0;
   const bool parity_ok = with.objective == without.objective;
   std::printf("exchange-cut gate (>= 5x fewer nodes, bit-equal objective): "

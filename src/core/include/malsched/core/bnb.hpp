@@ -11,7 +11,10 @@
 /// * Incremental evaluation — an OrderLpEvaluator solves one prefix-sized
 ///   order LP per node (the prefix objective is an exact lower bound on what
 ///   those tasks contribute to any completion of the prefix), instead of one
-///   full-n LP per leaf.
+///   full-n LP per leaf.  Leaves are pushed warm like every other node; a
+///   leaf is re-solved from scratch only when its warm value is not at
+///   least the bound slack above the incumbent, so the incumbent (and the
+///   returned objective and order) holds from-scratch values only.
 /// * Admissible bounds — a node's value is bounded below by
 ///     prefix LP  +  max(offset squashed area, per-task height)
 ///   over the remaining tasks, where the offset area is
@@ -93,13 +96,25 @@ struct BnbOptions {
 struct BnbStats {
   std::size_t nodes = 0;             ///< prefixes expanded (LP-evaluated)
   std::size_t leaves = 0;            ///< complete orders evaluated
-  std::size_t lp_evaluations = 0;    ///< order-LP solves, seeds included
+  std::size_t lp_evaluations = 0;    ///< order-LP solves, seeds and leaf
+                                     ///< re-solves included
+  std::size_t leaf_resolves = 0;     ///< leaves whose warm value could beat
+                                     ///< the incumbent, re-solved from
+                                     ///< scratch (≤ leaves)
   std::size_t pruned_by_bound = 0;   ///< subtrees cut by the subset-DP bound
   std::size_t pruned_by_cut = 0;     ///< branches never generated by the
                                      ///< identical-shape exchange cut
   std::size_t pruned_by_dominance = 0;  ///< branches never generated
+  /// Order LPs the search relied on that missed optimality: leaf
+  /// re-solves, from-scratch fallbacks of warm pushes, and the
+  /// want_schedule solve.  Failed incumbent seeds are heuristics and are
+  /// not counted.  Non-zero means the result is not a proven optimum.
+  std::size_t lp_failures = 0;
 };
 
+/// When stats.lp_failures > 0 the objective/order are the best over the
+/// LPs that solved (order empty, objective +infinity, if none did) and the
+/// schedule stays empty if its own LP failed.
 struct BnbResult {
   double objective = 0.0;
   std::vector<std::size_t> order;  ///< an optimal completion order

@@ -47,6 +47,11 @@ struct OptimalResult {
   /// True when OptimalOptions::cancel fired mid-search; objective/order are
   /// then the best seen so far, not the proven optimum.
   bool cancelled = false;
+  /// Order LPs the search relied on that missed optimality (an enumerated
+  /// order, or BnbStats::lp_failures above the crossover, or the
+  /// want_schedule solve).  Non-zero means objective/order are the best
+  /// over the LPs that solved, not a proven optimum.
+  std::size_t lp_failures = 0;
 };
 
 /// Exact optimum over all completion orders (enumeration below the

@@ -53,7 +53,9 @@ struct OrderLpResult {
 /// exact lower bound on the weighted completion those tasks contribute to
 /// any full order extending the prefix (restriction argument: dropping the
 /// suffix allocations from a full solution leaves a feasible prefix
-/// schedule).
+/// schedule).  Returns +infinity when the simplex does not reach
+/// optimality (the order LP is always feasible and bounded, so that is a
+/// numerical failure; callers that rely on the value must treat it so).
 [[nodiscard]] double order_lp_objective(const Instance& instance,
                                         std::span<const std::size_t> order);
 
@@ -80,9 +82,12 @@ class IncrementalOrderLp;
 ///   to order sibling branches best-first.
 ///
 /// The warm-started value equals the prefix order LP optimum up to simplex
-/// tolerance; an *exact* push additionally re-solves from scratch so leaf
-/// values agree bit-for-bit with `order_lp_objective` (what the
-/// enumeration baseline computes).
+/// tolerance (1e-9 relative in the tests).  Branch-and-bound uses it at
+/// leaves too, as a filter: it re-solves a leaf with `order_lp_objective`
+/// only when the warm value could still beat the incumbent, so every
+/// objective it reports is a from-scratch value, bit-identical with what
+/// the enumeration baseline computes for the same order.  An *exact* push
+/// returns that from-scratch value directly.
 class OrderLpEvaluator {
  public:
   explicit OrderLpEvaluator(const Instance& instance);
@@ -91,10 +96,10 @@ class OrderLpEvaluator {
   OrderLpEvaluator& operator=(OrderLpEvaluator&&) noexcept;
 
   /// Appends `task` (not already in the prefix) and returns the order LP
-  /// objective of the extended prefix.  exact = false (the branch-and-bound
-  /// interior default) returns the warm-started incremental value; exact
+  /// objective of the extended prefix.  exact = false (what branch-and-bound
+  /// uses at every depth) returns the warm-started incremental value; exact
   /// additionally re-solves from scratch and returns that bit-reproducible
-  /// value (used at leaves).
+  /// value.
   double push(std::size_t task, bool exact = true);
   /// Removes the most recently pushed task.
   void pop();
@@ -113,6 +118,12 @@ class OrderLpEvaluator {
   [[nodiscard]] std::size_t lp_evaluations() const noexcept {
     return lp_evaluations_;
   }
+  /// Pushes whose value is not finite: the from-scratch solve (an exact
+  /// push, or the fallback of a failed warm start) missed optimality, so
+  /// that prefix value is unusable.
+  [[nodiscard]] std::size_t lp_failures() const noexcept {
+    return lp_failures_;
+  }
 
  private:
   const Instance* instance_;
@@ -122,6 +133,7 @@ class OrderLpEvaluator {
   std::vector<CapacityProfile> profiles_; ///< profiles_[d]: after d tasks
   std::unique_ptr<detail::IncrementalOrderLp> lp_;
   std::size_t lp_evaluations_ = 0;
+  std::size_t lp_failures_ = 0;
 };
 
 /// Exact-rational solve; returns the certified optimal objective for the

@@ -134,16 +134,22 @@ class Searcher {
     consider_greedy_seed(best_greedy_heuristic(instance_).order);
     dfs();
 
-    MALSCHED_ENSURES(!best_order_.empty());
+    stats_.lp_evaluations += evaluator_.lp_evaluations();
+    stats_.lp_failures += evaluator_.lp_failures();
+    // Only a failed or cancelled search can end without an incumbent.
+    MALSCHED_ENSURES(!best_order_.empty() || cancelled_ ||
+                     stats_.lp_failures > 0);
     result.cancelled = cancelled_;
     result.objective = incumbent_;
     result.order = std::move(best_order_);
-    stats_.lp_evaluations += evaluator_.lp_evaluations();
-    if (options_.want_schedule) {
+    if (options_.want_schedule && !result.order.empty()) {
       auto solved = solve_order_lp(instance_, result.order);
       ++stats_.lp_evaluations;
-      MALSCHED_ENSURES(solved.optimal());
-      result.schedule = std::move(solved.schedule);
+      if (solved.optimal()) {
+        result.schedule = std::move(solved.schedule);
+      } else {
+        ++stats_.lp_failures;
+      }
     }
     result.stats = stats_;
     return result;
@@ -154,6 +160,7 @@ class Searcher {
     return std::uint32_t{1} << task;
   }
 
+  /// Seeds are heuristics: a seed LP that fails (+infinity) is skipped.
   void consider_seed(std::vector<std::size_t> order) {
     ++stats_.lp_evaluations;
     const double objective = order_lp_objective(instance_, order);
@@ -190,9 +197,11 @@ class Searcher {
     if (!std::isfinite(incumbent_)) {
       return false;
     }
-    const double slack =
-        options_.bound_slack * std::max(1.0, std::abs(incumbent_));
-    return bound >= incumbent_ - slack;
+    return bound >= incumbent_ - slack();
+  }
+
+  [[nodiscard]] double slack() const noexcept {
+    return options_.bound_slack * std::max(1.0, std::abs(incumbent_));
   }
 
   /// Completion floor of task `t` when it is the next to complete after
@@ -269,11 +278,26 @@ class Searcher {
     const std::size_t depth = evaluator_.depth();
     if (depth == n_) {
       ++stats_.leaves;
-      const double objective = evaluator_.objective();
-      if (objective < incumbent_) {
-        incumbent_ = objective;
-        best_order_.assign(evaluator_.prefix().begin(),
-                           evaluator_.prefix().end());
+      // The leaf was pushed warm.  A warm value at least `slack` above the
+      // incumbent cannot hide a from-scratch value below it (the two agree
+      // to ~1e-9 relative; bound_slack defaults to 1e-7), so only the
+      // other leaves are re-solved from scratch.  The test is written
+      // negated so that a non-finite incumbent also re-solves.  The
+      // incumbent, and with it the returned objective and order, only ever
+      // holds from-scratch values: bit-identical with what enumeration
+      // computes for an order.
+      if (!(evaluator_.objective() >= incumbent_ + slack())) {
+        ++stats_.leaf_resolves;
+        ++stats_.lp_evaluations;
+        const double objective =
+            order_lp_objective(instance_, evaluator_.prefix());
+        if (!std::isfinite(objective)) {
+          ++stats_.lp_failures;
+        } else if (objective < incumbent_) {
+          incumbent_ = objective;
+          best_order_.assign(evaluator_.prefix().begin(),
+                             evaluator_.prefix().end());
+        }
       }
       return;
     }
@@ -347,10 +371,9 @@ class Searcher {
         stats_.pruned_by_bound += children.size() - c;
         break;
       }
-      // Interior nodes warm-start from the parent basis; the leaf re-solves
-      // from scratch so its objective is bit-identical with enumeration's.
-      const bool leaf_push = depth + 1 == n_;
-      const double pushed = evaluator_.push(child.task, leaf_push);
+      // Every node, the leaf included, warm-starts from the parent basis;
+      // the leaf decides above whether it needs a from-scratch re-solve.
+      const double pushed = evaluator_.push(child.task, /*exact=*/false);
       ++stats_.nodes;
       used_ |= bit(child.task);
 

@@ -1,6 +1,7 @@
 #include "malsched/core/optimal.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "malsched/core/bnb.hpp"
@@ -27,6 +28,7 @@ OptimalResult optimal_by_enumeration(const Instance& instance,
     result.schedule = std::move(bnb.schedule);
     result.orders_tried = bnb.stats.leaves;
     result.cancelled = bnb.cancelled;
+    result.lp_failures = bnb.stats.lp_failures;
     return result;
   }
   OptimalResult result;
@@ -46,7 +48,9 @@ OptimalResult optimal_by_enumeration(const Instance& instance,
     }
     const double objective = order_lp_objective(instance, order);
     ++result.orders_tried;
-    if (objective < result.objective) {
+    if (!std::isfinite(objective)) {
+      ++result.lp_failures;
+    } else if (objective < result.objective) {
       result.objective = objective;
       result.order = order;
     }
@@ -54,8 +58,11 @@ OptimalResult optimal_by_enumeration(const Instance& instance,
 
   if (options.want_schedule && !result.order.empty()) {
     auto solved = solve_order_lp(instance, result.order);
-    MALSCHED_ENSURES(solved.optimal());
-    result.schedule = std::move(solved.schedule);
+    if (solved.optimal()) {
+      result.schedule = std::move(solved.schedule);
+    } else {
+      ++result.lp_failures;
+    }
   }
   return result;
 }

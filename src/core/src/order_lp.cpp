@@ -1,6 +1,7 @@
 #include "malsched/core/order_lp.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -36,9 +37,7 @@ lp::Model build_order_lp(const Instance& instance,
   const double P = instance.processors();
   const VarMap vars{n};
 
-  // Variables are addressed by dense index throughout (VarMap); names are
-  // debugging sugar the enumeration/branch-and-bound hot path cannot afford
-  // to format, so they stay empty.
+  // Variables are addressed by dense index throughout (VarMap).
   lp::Model model;
   for (std::size_t j = 0; j < n; ++j) {
     model.add_variable();
@@ -570,9 +569,9 @@ double OrderLpEvaluator::push(std::size_t task, bool exact) {
   ++lp_evaluations_;
   double objective;
   if (exact) {
-    // Leaves re-solve from scratch so the reported objective is
-    // bit-identical with what enumeration computes for the same order.
-    // The incremental state is still extended (snapshot + appended
+    // An exact push re-solves from scratch so the reported objective is
+    // bit-identical with order_lp_objective for the same prefix.  The
+    // incremental state is still extended (snapshot + appended
     // rows/columns, no re-optimization) so pop() and deeper pushes stay
     // consistent — the next warm-started push's phase 1 repairs every
     // outstanding artificial, not just its own.
@@ -580,6 +579,11 @@ double OrderLpEvaluator::push(std::size_t task, bool exact) {
     objective = order_lp_objective(*instance_, prefix_);
   } else {
     objective = lp_->push(task);
+  }
+  if (!std::isfinite(objective)) {
+    // Only a from-scratch solve that missed optimality (the exact path or
+    // the warm path's fallback) yields a non-finite value.
+    ++lp_failures_;
   }
   objectives_.push_back(objective);
   volumes_.push_back(prefix_volume() + instance_->task(task).volume);

@@ -15,7 +15,6 @@
 /// Variables are identified by dense indices returned from add_variable.
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace malsched::lp {
@@ -33,7 +32,7 @@ struct Term {
 class Model {
  public:
   /// Adds a non-negative variable, returns its index.
-  std::size_t add_variable(std::string name = {});
+  std::size_t add_variable();
 
   /// Sets the objective coefficient of `var` (default 0).
   void set_objective(std::size_t var, double coeff);
@@ -43,7 +42,7 @@ class Model {
   std::size_t add_constraint(std::vector<Term> terms, Sense sense, double rhs);
 
   [[nodiscard]] std::size_t num_variables() const noexcept {
-    return names_.size();
+    return objective_.size();
   }
   [[nodiscard]] std::size_t num_constraints() const noexcept {
     return rows_.size();
@@ -59,12 +58,8 @@ class Model {
   [[nodiscard]] const std::vector<double>& objective() const noexcept {
     return objective_;
   }
-  [[nodiscard]] const std::string& name(std::size_t var) const {
-    return names_[var];
-  }
 
  private:
-  std::vector<std::string> names_;
   std::vector<double> objective_;
   std::vector<Row> rows_;
 };

@@ -14,6 +14,9 @@
 
 namespace malsched::lp {
 
+/// Unbounded means the ratio test found no leaving row.  In phase 1 of the
+/// double solver, whose objective is bounded below by zero, that is
+/// numerical breakdown on a near-degenerate model, not an unbounded LP.
 enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
 /// Returns a short human-readable status name.

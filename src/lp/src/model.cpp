@@ -6,13 +6,9 @@
 
 namespace malsched::lp {
 
-std::size_t Model::add_variable(std::string name) {
-  if (name.empty()) {
-    name = "x" + std::to_string(names_.size());
-  }
-  names_.push_back(std::move(name));
+std::size_t Model::add_variable() {
   objective_.push_back(0.0);
-  return names_.size() - 1;
+  return objective_.size() - 1;
 }
 
 void Model::set_objective(std::size_t var, double coeff) {
@@ -28,7 +24,7 @@ std::size_t Model::add_constraint(std::vector<Term> terms, Sense sense,
   std::vector<Term> merged;
   merged.reserve(terms.size());
   for (const Term& t : terms) {
-    MALSCHED_EXPECTS(t.var < names_.size());
+    MALSCHED_EXPECTS(t.var < objective_.size());
     if (!merged.empty() && merged.back().var == t.var) {
       merged.back().coeff += t.coeff;
     } else {

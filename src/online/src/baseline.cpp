@@ -25,7 +25,7 @@ BaselineResult offline_baseline(const ArrivalTrace& trace,
     bnb.want_schedule = true;
     bnb.cancel = options.cancel;
     const auto solved = core::branch_and_bound(instance, bnb);
-    if (!solved.cancelled) {
+    if (!solved.cancelled && solved.stats.lp_failures == 0) {
       // The schedule-derived objective (not the LP scalar) so exact
       // comparisons against a replayed exact plan are bit-for-bit.
       const double optimum = solved.schedule.weighted_completion(instance);

@@ -310,6 +310,10 @@ class ExactReplanPolicy final : public ReplanPolicy {
               std::chrono::duration<double>(options_.budget_seconds)));
     }
     const auto result = core::branch_and_bound(view.sub, bnb);
+    if (result.stats.lp_failures > 0 || result.order.empty()) {
+      // An order LP broke down numerically; the schedule may be missing.
+      return wsew_plan(ctx);
+    }
     // Cancelled searches still carry the incumbent's schedule (the seeds
     // always run), so the plan stays feasible under any budget.
     return lift_plan(core::to_steps(result.schedule), view.ids,

@@ -188,6 +188,15 @@ SolveResult solve_optimal(const core::Instance& instance,
                             std::to_string(opt.orders_tried) +
                             " completion orders");
   }
+  if (opt.lp_failures > 0) {
+    // A near-degenerate instance broke the double simplex on an LP the
+    // search relied on, so the optimum is unproven.  The Scheduler retries
+    // a failed canonical-space solve in client space.
+    return error_result(ErrorCode::SolverFailure,
+                        std::to_string(opt.lp_failures) +
+                            " order LP(s) missed optimality; the optimum "
+                            "is not proven");
+  }
   return ok_result(opt.objective, opt.schedule.makespan(),
                    opt.schedule.completions());
 }

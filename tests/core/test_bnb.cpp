@@ -126,6 +126,37 @@ TEST(Bnb, DisabledPruningVisitsExactlyFactorialLeaves) {
   EXPECT_GT(pruned.stats.pruned_by_bound, 0u);
 }
 
+TEST(Bnb, ObjectiveIsTheFromScratchValueOfItsOrder) {
+  // Leaves are pushed warm and re-solved from scratch only when the warm
+  // value could still beat the incumbent, so the returned objective must be
+  // exactly what order_lp_objective computes for the returned order — no
+  // tolerance.  n = 8–9 puts the search past the enumeration crossover;
+  // the two families whose search time is heavy-tailed at these sizes
+  // stay at n = 8 to keep the test to seconds.
+  for (const mc::Family family : mc::all_families()) {
+    const bool heavy = family == mc::Family::HomogeneousHalf ||
+                       family == mc::Family::EqualWeightsVolumes;
+    ms::Rng rng(1 + static_cast<std::uint64_t>(family));
+    for (const std::size_t n : {std::size_t{8}, std::size_t{9}}) {
+      if (heavy && n == 9) {
+        continue;
+      }
+      mc::GeneratorConfig config;
+      config.family = family;
+      config.num_tasks = n;
+      config.processors = 2.0;
+      const auto inst = mc::generate(config, rng);
+      const auto bnb = mc::branch_and_bound(inst);
+      EXPECT_EQ(bnb.objective, mc::order_lp_objective(inst, bnb.order))
+          << mc::family_name(family) << " n " << n;
+      EXPECT_LE(bnb.stats.leaf_resolves, bnb.stats.leaves)
+          << mc::family_name(family) << " n " << n;
+      EXPECT_EQ(bnb.stats.lp_failures, 0u)
+          << mc::family_name(family) << " n " << n;
+    }
+  }
+}
+
 // One ctest case per generator family, so `ctest -j` runs the families in
 // parallel instead of behind one serial loop.
 class BnbCutsFuzz : public ::testing::TestWithParam<mc::Family> {};

@@ -2,14 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <stdexcept>
+#include <string>
+
 #include "malsched/core/generators.hpp"
 #include "malsched/core/greedy.hpp"
+#include "malsched/core/io.hpp"
 #include "malsched/core/orderings.hpp"
 #include "malsched/core/water_filling.hpp"
 
 namespace mc = malsched::core;
 namespace ms = malsched::support;
 using malsched::numeric::Rational;
+
+namespace {
+
+mc::Instance load(const std::string& name) {
+  const std::string path = std::string(MALSCHED_DATA_DIR) + "/" + name;
+  std::ifstream in(path);
+  std::string error;
+  auto inst = mc::read_instance(in, &error);
+  if (!inst.has_value()) {
+    throw std::runtime_error("bad fixture " + path + ": " + error);
+  }
+  return *inst;
+}
+
+/// Exact bits of one instance's order LPs: the compact objective-only
+/// formulation (order_lp_objective) and the full one (solve_order_lp),
+/// each under the identity order and the Smith order.
+struct PinnedBits {
+  double identity_compact;
+  double identity_full;
+  double smith_compact;
+  double smith_full;
+};
+
+void expect_pinned_bits(const mc::Instance& inst, const PinnedBits& pinned,
+                        const std::string& label) {
+  const auto identity = mc::identity_order(inst.size());
+  const auto smith = mc::smith_order(inst);
+  EXPECT_EQ(mc::order_lp_objective(inst, identity), pinned.identity_compact)
+      << label;
+  EXPECT_EQ(mc::solve_order_lp(inst, identity).objective, pinned.identity_full)
+      << label;
+  EXPECT_EQ(mc::order_lp_objective(inst, smith), pinned.smith_compact)
+      << label;
+  EXPECT_EQ(mc::solve_order_lp(inst, smith).objective, pinned.smith_full)
+      << label;
+}
+
+}  // namespace
 
 TEST(OrderLp, SingleTaskClosedForm) {
   const mc::Instance inst(4.0, {{6.0, 3.0, 2.0}});
@@ -130,4 +174,38 @@ TEST(OrderLp, BadOrderStillSolvable) {
   const double small = mc::order_lp_objective(inst, small_first);
   EXPECT_LT(small, big);
   EXPECT_TRUE(std::isfinite(big));
+}
+
+// The simplex kernel's exact output bits, as hexfloat literals.  The pivot
+// updates only the pivot row's nonzero columns, which is exact (see
+// simplex_impl.hpp) — so a kernel change that moves any of these bits
+// changes results, and is not a pure speed-up.
+TEST(OrderLp, KernelBitsArePinnedOnTheFixtures) {
+  expect_pinned_bits(load("example_small.mls"),
+                     {0x1.18p+4, 0x1.18p+4, 0x1.eaaaaaaaaaaa9p+3,
+                      0x1.eaaaaaaaaaaabp+3},
+                     "example_small");
+  expect_pinned_bits(load("bandwidth_fig1.mls"),
+                     {0x1.47fffffffffffp+6, 0x1.47fffffffffffp+6, 0x1.bp+5,
+                      0x1.bp+5},
+                     "bandwidth_fig1");
+  expect_pinned_bits(load("theorem9_counterexample.mls"),
+                     {0x1p+3, 0x1p+3, 0x1.fp+2, 0x1.fp+2},
+                     "theorem9_counterexample");
+  expect_pinned_bits(load("wide_tasks.mls"),
+                     {0x1.589c09c09c09cp+3, 0x1.589c09c09c09cp+3,
+                      0x1.1cd34d34d34d3p+3, 0x1.1cd34d34d34d3p+3},
+                     "wide_tasks");
+}
+
+TEST(OrderLp, KernelBitsArePinnedAtN24) {
+  ms::Rng rng(24);
+  mc::GeneratorConfig config;
+  config.family = mc::Family::Uniform;
+  config.num_tasks = 24;
+  config.processors = 8.0;
+  expect_pinned_bits(mc::generate(config, rng),
+                     {0x1.4b3aff0049f6ep+3, 0x1.4b3aff0049f74p+3,
+                      0x1.d3091811db061p+2, 0x1.d3091811db07p+2},
+                     "uniform n=24 seed 24");
 }

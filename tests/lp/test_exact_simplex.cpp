@@ -10,8 +10,8 @@ using malsched::numeric::Rational;
 
 TEST(ExactSimplex, DantzigExampleExact) {
   lp::Model m;
-  const auto x = m.add_variable("x");
-  const auto y = m.add_variable("y");
+  const auto x = m.add_variable();
+  const auto y = m.add_variable();
   m.set_objective(x, -3.0);
   m.set_objective(y, -5.0);
   m.add_constraint({{x, 1.0}}, lp::Sense::LessEqual, 4.0);

@@ -19,10 +19,10 @@ TEST(SimplexStress, BealeCyclingExample) {
   //        x6 <= 1
   // Optimum: -0.05 at x6 = 1 (x4 = 0.04? several optimal bases).
   lp::Model m;
-  const auto x4 = m.add_variable("x4");
-  const auto x5 = m.add_variable("x5");
-  const auto x6 = m.add_variable("x6");
-  const auto x7 = m.add_variable("x7");
+  const auto x4 = m.add_variable();
+  const auto x5 = m.add_variable();
+  const auto x6 = m.add_variable();
+  const auto x7 = m.add_variable();
   m.set_objective(x4, -0.75);
   m.set_objective(x5, 150.0);
   m.set_objective(x6, -0.02);

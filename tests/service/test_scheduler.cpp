@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <set>
 #include <string>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "malsched/core/generators.hpp"
+#include "malsched/service/canonical.hpp"
 #include "malsched/support/rng.hpp"
 #include "malsched/support/stats.hpp"
 
@@ -437,6 +440,37 @@ TEST(Scheduler, CancelAbortsARealBranchAndBoundSolve) {
         result.error().detail.find("queued") != std::string::npos;
     EXPECT_TRUE(from_solver || from_queue) << result.error().detail;
   }
+}
+
+TEST(Scheduler, NearDegenerateOptimalFallsBackToClientSpace) {
+  // A valid client instance whose canonical form breaks the double simplex:
+  // phase 1 of several order LPs finds no ratio-test row.  That must come
+  // back as a failed solve, never as an abort or as an unproven optimum;
+  // the Scheduler then re-solves in client space, where every LP solves.
+  const mc::Instance client(
+      4.0, {{0.0027409310636313799, 3.9975936583520308, 0.53279583483830772},
+            {0.25630501421483487, 0.6519420425174518, 0.54028957033458158},
+            {0.82085215261593392, 0.0022719466876508498, 0.66796115762281727},
+            {0.68718909761279179, 3.4490382357790716, 0.4746978072755027},
+            {0.68868798332164649, 0.64587846529313131, 0.086258763443816444}});
+  const auto registry = msvc::SolverRegistry::with_default_solvers();
+
+  const auto canonical =
+      registry.solve("optimal", msvc::canonicalize(client).instance);
+  if (!canonical.ok()) {
+    EXPECT_EQ(canonical.error().code, msvc::ErrorCode::SolverFailure)
+        << canonical.error().to_string();
+  }
+
+  const auto direct = registry.solve("optimal", client);
+  ASSERT_TRUE(direct.ok()) << direct.error().to_string();
+  msvc::Scheduler::Options options;
+  options.threads = 1;
+  msvc::Scheduler scheduler(registry, options);
+  const auto served = scheduler.submit("optimal", msvc::intern(client)).get();
+  ASSERT_TRUE(served.ok()) << served.error().to_string();
+  EXPECT_LE(std::fabs(served.objective() - direct.objective()),
+            1e-9 * std::max(1.0, std::fabs(direct.objective())));
 }
 
 TEST(Scheduler, CancelRaceStressResolvesEveryTicketExactlyOnce) {
