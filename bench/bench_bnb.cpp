@@ -1,6 +1,6 @@
 // E-BNB — branch-and-bound exact solver vs n! enumeration.
 //
-// Three sections:
+// Four sections:
 //   1. head-to-head at enumeration-feasible sizes (n = 6, 7): same optimum,
 //      wall time and order-LP evaluation counts side by side;
 //   2. branch-and-bound scaling n = 8..12 across generator families —
@@ -8,7 +8,10 @@
 //      search reports its actual node/LP counts and the n!/LP ratio;
 //   3. the pinned n = 12 fixture (uniform, seed 42) that the CI smoke job
 //      replays with `--quick`: the wall-time ceiling turns an accidental
-//      O(n!) regression (or a broken bound) into a red build;
+//      O(n!) regression (or a broken bound) into a red build, and the
+//      pivots-per-push bar (<= 10: the warm push measures ~7, a return to
+//      a phase-1 repair would read ~27) does the same for the order-LP
+//      push — a deterministic count, so the gate cannot flake;
 //   4. the pinned structured n = 12 batch fixture for the identical-shape
 //      exchange cut (BnbOptions::use_cuts): two interleaved identical-shape
 //      batches under geometric weight spreads, solved cuts-on and
@@ -21,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -187,8 +191,18 @@ void run_scaling(const bench::BenchConfig& config, bench::BenchJson& json) {
               "n!/LPs factor shown — the acceptance bar is >= 100x.)\n\n");
 }
 
+/// Ceiling on the pinned fixture's mean phase-2 pivots per warm push.
+constexpr double kPivotsPerPushCeiling = 10.0;
+
+double pivots_per_push(const core::BnbStats& stats) {
+  // Every search node is one warm push.
+  return static_cast<double>(stats.pivots) /
+         static_cast<double>(std::max<std::size_t>(1, stats.nodes));
+}
+
 /// The CI smoke: solve the pinned uniform n = 12 instance once and fail
-/// (exit 1) when the wall time exceeds the ceiling.  The ceiling is
+/// (exit 1) when the wall time exceeds the ceiling or a warm push averages
+/// more than kPivotsPerPushCeiling pivots.  The wall-time ceiling is
 /// deliberately generous — it exists to catch an accidental return to
 /// factorial behaviour, not to benchmark the machine.  Tightened 60 → 30 s
 /// once the tail-cut work landed: the fixture measures ~3.4 s RelWithDebInfo
@@ -205,6 +219,7 @@ int measure_pinned(bench::BenchJson& json) {
       wall_seconds([&] { result = core::branch_and_bound(inst); });
   const double ratio =
       factorial(12) / static_cast<double>(result.stats.lp_evaluations);
+  const double per_push = pivots_per_push(result.stats);
 
   json.add("pinned_uniform_n12", "wall_ns", seconds * 1e9);
   json.add("pinned_uniform_n12", "nodes", static_cast<double>(result.stats.nodes));
@@ -215,21 +230,28 @@ int measure_pinned(bench::BenchJson& json) {
   json.add("pinned_uniform_n12", "lp_evaluations",
            static_cast<double>(result.stats.lp_evaluations));
   json.add("pinned_uniform_n12", "factorial_over_lp", ratio);
+  json.add("pinned_uniform_n12", "pivots",
+           static_cast<double>(result.stats.pivots));
+  json.add("pinned_uniform_n12", "pivots_per_push", per_push);
   json.add("pinned_uniform_n12", "objective", result.objective);
   json.add("pinned_uniform_n12", "ceiling_seconds", ceiling_seconds);
 
   std::printf("pinned uniform n=12 (seed %llu): objective %.6f in %.2fs — "
               "%zu nodes, %zu of %zu leaves re-solved, %zu LP evals "
-              "(n!/LPs = %.0fx, bar >= 100x)\n",
+              "(n!/LPs = %.0fx, bar >= 100x), %zu pivots (%.2f per push)\n",
               static_cast<unsigned long long>(kPinnedSeed), result.objective,
               seconds, result.stats.nodes, result.stats.leaf_resolves,
-              result.stats.leaves, result.stats.lp_evaluations, ratio);
+              result.stats.leaves, result.stats.lp_evaluations, ratio,
+              result.stats.pivots, per_push);
   const bool time_ok = seconds <= ceiling_seconds;
   const bool ratio_ok = ratio >= 100.0;
-  std::printf("ceiling %.0fs: %s;  LP-reduction bar: %s\n\n", ceiling_seconds,
-              time_ok ? "PASS" : "FAIL (O(n!) regression?)",
-              ratio_ok ? "PASS" : "FAIL");
-  return time_ok && ratio_ok ? 0 : 1;
+  const bool pivots_ok = per_push <= kPivotsPerPushCeiling;
+  std::printf("ceiling %.0fs: %s;  LP-reduction bar: %s;  pivots-per-push "
+              "bar (<= %.0f): %s\n\n",
+              ceiling_seconds, time_ok ? "PASS" : "FAIL (O(n!) regression?)",
+              ratio_ok ? "PASS" : "FAIL", kPivotsPerPushCeiling,
+              pivots_ok ? "PASS" : "FAIL");
+  return time_ok && ratio_ok && pivots_ok ? 0 : 1;
 }
 
 /// The structured exchange-cut fixture: the same two-batch instance the core
@@ -275,14 +297,25 @@ int measure_structured_cuts(bench::BenchJson& json) {
            static_cast<double>(without.stats.leaf_resolves));
   json.add("structured_cuts_n12", "cut_prunes",
            static_cast<double>(with.stats.pruned_by_cut));
+  json.add("structured_cuts_n12", "cuts_on_pivots",
+           static_cast<double>(with.stats.pivots));
+  json.add("structured_cuts_n12", "cuts_on_pivots_per_push",
+           pivots_per_push(with.stats));
+  json.add("structured_cuts_n12", "cuts_off_pivots",
+           static_cast<double>(without.stats.pivots));
+  json.add("structured_cuts_n12", "cuts_off_pivots_per_push",
+           pivots_per_push(without.stats));
   json.add("structured_cuts_n12", "objective", with.objective);
 
   std::printf("structured batch n=12: cuts-on %zu nodes (%.2fs) vs cuts-off "
               "%zu nodes (%.2fs) — %.0fx; leaves re-solved %zu of %zu vs "
-              "%zu of %zu\n",
+              "%zu of %zu; pivots %zu (%.2f per push) vs %zu (%.2f per "
+              "push)\n",
               with.stats.nodes, on_seconds, without.stats.nodes, off_seconds,
               node_ratio, with.stats.leaf_resolves, with.stats.leaves,
-              without.stats.leaf_resolves, without.stats.leaves);
+              without.stats.leaf_resolves, without.stats.leaves,
+              with.stats.pivots, pivots_per_push(with.stats),
+              without.stats.pivots, pivots_per_push(without.stats));
   const bool ratio_ok = node_ratio >= 5.0;
   const bool parity_ok = with.objective == without.objective;
   std::printf("exchange-cut gate (>= 5x fewer nodes, bit-equal objective): "

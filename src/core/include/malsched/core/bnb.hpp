@@ -105,6 +105,9 @@ struct BnbStats {
   std::size_t pruned_by_cut = 0;     ///< branches never generated by the
                                      ///< identical-shape exchange cut
   std::size_t pruned_by_dominance = 0;  ///< branches never generated
+  /// Phase-2 simplex pivots of the warm pushes (OrderLpEvaluator::pivots);
+  /// pivots / nodes is the mean pivot count of one push.
+  std::size_t pivots = 0;
   /// Order LPs the search relied on that missed optimality: leaf
   /// re-solves, from-scratch fallbacks of warm pushes, and the
   /// want_schedule solve.  Failed incumbent seeds are heuristics and are

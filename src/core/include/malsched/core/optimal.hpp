@@ -8,6 +8,11 @@
 /// (Conjecture 12) and Theorem 11 are checked); above the crossover the
 /// call delegates to the branch-and-bound of bnb.hpp, which searches the
 /// same space with pruning and opens n ≤ 18 to exact serving.
+///
+/// The crossover belongs to this library facade, which tests, benches and
+/// examples keep as the enumeration reference.  The service's `optimal`
+/// solver calls branch_and_bound at every n: with warm pushes it is faster
+/// from n = 4 up and at most microseconds slower below.
 
 #include <vector>
 

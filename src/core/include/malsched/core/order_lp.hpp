@@ -73,9 +73,11 @@ class IncrementalOrderLp;
 /// * the parent's *optimal simplex basis* — a push appends the new
 ///   position's columns and rows to the parent tableau (the new volume
 ///   variables' reduced columns are exactly the stored slack columns of the
-///   old capacity rows, so no basis-inverse solve is needed), repairs
-///   primal feasibility for the one new volume row, and re-optimizes in a
-///   handful of pivots instead of a from-scratch two-phase solve;
+///   old capacity rows, so no basis-inverse solve is needed), makes it
+///   primal feasible with a crash basis (the new task runs alone in a new
+///   last column, two pivots on the new rows only), and re-optimizes with
+///   phase 2 alone — a few pivots instead of a from-scratch two-phase
+///   solve;
 /// * the greedy capacity-profile state (Algorithm 3's water-level profile)
 ///   — `greedy_completion` probes where a candidate task would finish
 ///   against the current prefix without any LP work, which the search uses
@@ -118,6 +120,10 @@ class OrderLpEvaluator {
   [[nodiscard]] std::size_t lp_evaluations() const noexcept {
     return lp_evaluations_;
   }
+  /// Simplex pivots that warm pushes have made so far, counting phase-2
+  /// ratio-test pivots only (the two crash pivots of every push are fixed
+  /// overhead).  Deterministic for a given push/pop sequence.
+  [[nodiscard]] std::size_t pivots() const noexcept;
   /// Pushes whose value is not finite: the from-scratch solve (an exact
   /// push, or the fallback of a failed warm start) missed optimality, so
   /// that prefix value is unusable.

@@ -136,6 +136,7 @@ class Searcher {
 
     stats_.lp_evaluations += evaluator_.lp_evaluations();
     stats_.lp_failures += evaluator_.lp_failures();
+    stats_.pivots = evaluator_.pivots();
     // Only a failed or cancelled search can end without an incumbent.
     MALSCHED_ENSURES(!best_order_.empty() || cancelled_ ||
                      stats_.lp_failures > 0);

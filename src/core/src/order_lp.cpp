@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -231,10 +230,15 @@ namespace detail {
 ///   L_k and x_{k,k} touch no old rows at all;
 /// * new rows are reduced against the basis in one pass (only the width
 ///   rows reference an old variable, L_j);
-/// * the new volume row enters with its artificial basic at V_k — the only
-///   infeasibility — so a phase-1 restricted to artificial cost followed
-///   by a re-priced phase 2 re-optimizes in a few pivots, not a
-///   from-scratch two-phase solve.
+/// * a crash basis makes the extended tableau primal feasible at once:
+///   x_{k,k} becomes basic in the volume row and L_k in width row (k, k)
+///   (capacity row k when δ_eff = P leaves no width rows).  That basis is
+///   the schedule "task k runs alone in a new last column" — x_{k,k} = V_k,
+///   L_k = V_k/δ_eff, capacity slack V_k·(P/δ_eff − 1) — and its two pivots
+///   touch new rows only, because only they hold x_{k,k} and L_k;
+/// * phase 2 alone, re-priced with the suffix weights (the new position
+///   adds its weight to the cost of every earlier L_j), re-optimizes from
+///   there in a few pivots.
 ///
 /// pop() restores the parent's full state from a per-depth snapshot.
 class IncrementalOrderLp {
@@ -266,19 +270,17 @@ class IncrementalOrderLp {
     // reduction needed.  Future pushes add their x_{·,k} into this row via
     // the slack-column copy above, which is why the slack column index is
     // recorded.
-    {
-      const std::size_t row = append_row();
-      s.tab[row][x_cols[position]] = 1.0;
-      s.tab[row][l_col] = -processors_;
-      const std::size_t slack = append_zero_column();
-      s.tab[row][slack] = 1.0;
-      s.basis.push_back(slack);
-      s.rhs.push_back(0.0);
-      s.cap_slack_col.push_back(slack);
-    }
+    const std::size_t cap_row = append_row();
+    s.tab[cap_row][x_cols[position]] = 1.0;
+    s.tab[cap_row][l_col] = -processors_;
+    s.cap_slack_col.push_back(append_zero_column());
+    s.tab[cap_row][s.cap_slack_col.back()] = 1.0;
+    s.basis.push_back(s.cap_slack_col.back());
+    s.rhs.push_back(0.0);
     // Width rows x_{k,j} − δ·L_j <= 0 (skipped when the capacity row
     // already implies them).  For j < position they reference the old
     // variable L_j and must be reduced if it is basic.
+    std::size_t l_row = cap_row;  // L_k's crash row: width row (k, k) if any
     if (width < processors_) {
       for (std::size_t j = 0; j <= position; ++j) {
         const std::size_t row = append_row();
@@ -290,58 +292,39 @@ class IncrementalOrderLp {
         const std::size_t slack = append_zero_column();
         s.tab[row][slack] = 1.0;
         s.basis.push_back(slack);
+        l_row = row;
       }
     }
-    // Volume row: Σ_j x_{k,j} = V_k — all-new variables; its artificial
-    // starts basic at V_k, the single primal infeasibility to repair.
-    {
-      const std::size_t row = append_row();
-      for (std::size_t j = 0; j <= position; ++j) {
-        s.tab[row][x_cols[j]] = 1.0;
-      }
-      const std::size_t artificial = append_zero_column();
-      s.tab[row][artificial] = 1.0;
-      s.artificial[artificial] = 1;
-      s.basis.push_back(artificial);
-      s.rhs.push_back(t.volume);
+    // Volume row: Σ_j x_{k,j} = V_k — all-new nonbasic variables, so it is
+    // already in reduced form.  x_{k,k} is entered as its basic variable
+    // by the crash pivot below.
+    const std::size_t volume_row = append_row();
+    for (std::size_t j = 0; j <= position; ++j) {
+      s.tab[volume_row][x_cols[j]] = 1.0;
     }
+    s.basis.push_back(x_cols[position]);
+    s.rhs.push_back(t.volume);
+
+    // --- crash basis: task k alone in a new last column ------------------
+    pivot(volume_row, x_cols[position]);
+    pivot(l_row, l_col);
     s.position_weights.push_back(t.weight);
     s.tasks.push_back(task);
     if (!solve) {
       // Structure-only push (the caller wants a from-scratch value, e.g. a
-      // bit-reproducible leaf): the new artificial stays basic at V_k and
-      // is repaired by the next solving push's phase 1.
+      // bit-reproducible leaf): the crash basis is already feasible, so the
+      // next solving push re-optimizes from it.
       return 0.0;
     }
 
-    // --- phase 1 (artificial cost), then re-priced phase 2 ---------------
-    costs_.assign(s.cols, 0.0);
-    for (std::size_t c = 0; c < s.cols; ++c) {
-      if (s.artificial[c] != 0) {
-        costs_[c] = 1.0;
-      }
-    }
-    if (!optimize(/*allow_artificials=*/true)) {
-      return resolve_from_scratch();
-    }
-    double residual = 0.0;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      if (s.artificial[s.basis[i]] != 0) {
-        residual += s.rhs[i];
-      }
-    }
-    if (residual > kEps * std::max(1.0, t.volume)) {
-      // The order LP is always feasible; a positive residual means the
-      // warm-started basis drifted numerically.
-      return resolve_from_scratch();
-    }
+    // --- re-priced phase 2 -----------------------------------------------
     costs_.assign(s.cols, 0.0);
     double suffix_weight = 0.0;
     for (std::size_t j = s.position_weights.size(); j-- > 0;) {
       suffix_weight += s.position_weights[j];
       costs_[s.l_col[j]] = suffix_weight;
     }
-    if (!optimize(/*allow_artificials=*/false)) {
+    if (!optimize()) {
       return resolve_from_scratch();
     }
     double objective = 0.0;
@@ -357,12 +340,14 @@ class IncrementalOrderLp {
     snapshots_.pop_back();
   }
 
+  /// Ratio-test pivots made by phase 2 so far (crash pivots excluded).
+  [[nodiscard]] std::size_t pivots() const noexcept { return pivots_; }
+
  private:
   struct State {
     std::vector<std::vector<double>> tab;  ///< rows over columns
     std::vector<double> rhs;
     std::vector<std::size_t> basis;        ///< per row: basic column
-    std::vector<std::uint8_t> artificial;  ///< per column
     std::vector<std::size_t> cap_slack_col;  ///< per position
     std::vector<std::size_t> l_col;          ///< per position
     std::vector<double> position_weights;
@@ -383,7 +368,6 @@ class IncrementalOrderLp {
     for (auto& row : state_.tab) {
       row.push_back(0.0);
     }
-    state_.artificial.push_back(0);
     return state_.cols++;
   }
 
@@ -391,7 +375,6 @@ class IncrementalOrderLp {
     for (auto& row : state_.tab) {
       row.push_back(row[source]);
     }
-    state_.artificial.push_back(0);
     return state_.cols++;
   }
 
@@ -422,7 +405,7 @@ class IncrementalOrderLp {
 
   /// Primal simplex on `costs_` from the current (feasible) basis.
   /// Returns false when the iteration budget is exhausted.
-  bool optimize(bool allow_artificials) {
+  bool optimize() {
     State& s = state_;
     reduced_ = costs_;
     for (std::size_t i = 0; i < s.rows(); ++i) {
@@ -447,9 +430,6 @@ class IncrementalOrderLp {
       const bool use_bland = iteration >= bland_after;
       std::size_t entering = s.cols;
       for (std::size_t c = 0; c < s.cols; ++c) {
-        if (!allow_artificials && s.artificial[c] != 0) {
-          continue;
-        }
         if (reduced_[c] >= -kEps) {
           continue;
         }
@@ -482,16 +462,28 @@ class IncrementalOrderLp {
           leaving = i;
         }
       }
-      // Costs are non-negative (phase 1) or suffix weights (phase 2), so
-      // the LP is bounded below; a missing leaving row would mean the
-      // basis drifted — treat as a failed warm start.
+      // Costs are suffix weights (non-negative), so the LP is bounded
+      // below; a missing leaving row would mean the basis drifted — treat
+      // as a failed warm start.
       if (leaving == s.rows()) {
         return false;
       }
       pivot(leaving, entering);
+      ++pivots_;
+      const auto& pivot_row = s.tab[leaving];
+      const double cost_factor = reduced_[entering];
+      if (cost_factor != 0.0) {
+        for (std::size_t c = 0; c < s.cols; ++c) {
+          reduced_[c] = snap(reduced_[c] - cost_factor * pivot_row[c]);
+        }
+        reduced_[entering] = 0.0;
+      }
     }
   }
 
+  /// Makes `col` basic in `row`: the tableau and right-hand side only.
+  /// Reduced costs are phase 2's business (optimize updates them), so the
+  /// crash pivots of push() run before any pricing exists.
   void pivot(std::size_t row, std::size_t col) {
     State& s = state_;
     auto& pivot_row = s.tab[row];
@@ -516,13 +508,6 @@ class IncrementalOrderLp {
       target[col] = 0.0;
       s.rhs[i] = snap(s.rhs[i] - factor * s.rhs[row]);
     }
-    const double cost_factor = reduced_[col];
-    if (cost_factor != 0.0) {
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        reduced_[c] = snap(reduced_[c] - cost_factor * pivot_row[c]);
-      }
-      reduced_[col] = 0.0;
-    }
     s.basis[row] = col;
   }
 
@@ -539,6 +524,7 @@ class IncrementalOrderLp {
   std::vector<State> snapshots_;
   std::vector<double> costs_;
   std::vector<double> reduced_;
+  std::size_t pivots_ = 0;
 };
 
 }  // namespace detail
@@ -571,10 +557,9 @@ double OrderLpEvaluator::push(std::size_t task, bool exact) {
   if (exact) {
     // An exact push re-solves from scratch so the reported objective is
     // bit-identical with order_lp_objective for the same prefix.  The
-    // incremental state is still extended (snapshot + appended
-    // rows/columns, no re-optimization) so pop() and deeper pushes stay
-    // consistent — the next warm-started push's phase 1 repairs every
-    // outstanding artificial, not just its own.
+    // incremental state is still extended (snapshot, appended rows and
+    // columns, crash basis, no re-optimization), so pop() and deeper
+    // pushes stay consistent: the crash basis is feasible by itself.
     lp_->push(task, /*solve=*/false);
     objective = order_lp_objective(*instance_, prefix_);
   } else {
@@ -600,6 +585,10 @@ void OrderLpEvaluator::pop() {
   volumes_.pop_back();
   profiles_.pop_back();
   lp_->pop();
+}
+
+std::size_t OrderLpEvaluator::pivots() const noexcept {
+  return lp_->pivots();
 }
 
 double OrderLpEvaluator::objective() const noexcept {

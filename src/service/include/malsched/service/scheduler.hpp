@@ -46,8 +46,8 @@
 /// (resolving the ticket with ErrorCode::Cancelled and freeing its queue
 /// slot — no worker ever touches it) or, once a worker picked the job up,
 /// sets a cooperative flag that cancellation-aware solvers (the `optimal`
-/// branch-and-bound/enumeration loops) poll at node boundaries.  A deadline
-/// that passes while the job is still queued resolves it as
+/// branch-and-bound) poll at node boundaries.  A deadline that passes
+/// while the job is still queued resolves it as
 /// ErrorCode::DeadlineExceeded when a worker pops it, again without
 /// solving; during a solve the deadline rides the same cooperative token.
 /// Solvers without cancellation support simply run to completion and their

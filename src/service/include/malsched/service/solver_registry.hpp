@@ -4,9 +4,9 @@
 /// The uniform (solver, instance) -> SolveResult surface of the scheduling
 /// service.  Every algorithm in the library — the fluid-engine policies
 /// (sim::all_policies), clairvoyant greedy search, water-filling
-/// normalization, the Corollary-1 order LP and the enumeration optimum — is
-/// exposed under a stable string name so front-ends dispatch without
-/// compile-time knowledge of the zoo.
+/// normalization, the Corollary-1 order LP and the branch-and-bound
+/// optimum — is exposed under a stable string name so front-ends dispatch
+/// without compile-time knowledge of the zoo.
 ///
 /// Failures are typed: a SolveResult carries either a SolveOutput or a
 /// SolveError{code, detail}, never a bare string.  The codes are a closed

@@ -5,8 +5,8 @@
 #include <memory>
 #include <utility>
 
+#include "malsched/core/bnb.hpp"
 #include "malsched/core/greedy.hpp"
-#include "malsched/core/optimal.hpp"
 #include "malsched/core/order_lp.hpp"
 #include "malsched/core/orderings.hpp"
 #include "malsched/core/water_filling.hpp"
@@ -165,11 +165,12 @@ SolveResult solve_order_lp_smith(const core::Instance& instance) {
 
 SolveResult solve_optimal(const core::Instance& instance,
                           const SolveContext& context) {
-  // Branch-and-bound with the subset-DP bound raised the exact-serving
-  // guard from the n <= 9 of the pure-enumeration era to n <= 15; the
-  // identical-shape exchange cut raised it again to OptimalOptions' n <= 18
-  // default.  Beyond it the typed SizeGuard error stands.
-  core::OptimalOptions options;
+  // Branch-and-bound at every n: with warm pushes it beats the n!
+  // enumeration from n = 4 up and costs at most a few microseconds more
+  // below.  The subset-DP bound and the identical-shape exchange cut hold
+  // the guard at BnbOptions' n <= 18 default; beyond it the typed SizeGuard
+  // error stands.
+  core::BnbOptions options;
   options.want_schedule = true;
   options.cancel = context.cancel;
   if (instance.size() > options.max_tasks) {
@@ -178,22 +179,22 @@ SolveResult solve_optimal(const core::Instance& instance,
                             std::to_string(options.max_tasks) + " (got n = " +
                             std::to_string(instance.size()) + ")");
   }
-  const auto opt = core::optimal_by_enumeration(instance, options);
+  const auto opt = core::branch_and_bound(instance, options);
   if (opt.cancelled) {
     // The Scheduler reclassifies this to DeadlineExceeded when the token
     // fired on the deadline rather than an explicit Ticket::cancel().
     return error_result(ErrorCode::Cancelled,
                         "optimal solve aborted by its cancellation token "
                         "after trying " +
-                            std::to_string(opt.orders_tried) +
+                            std::to_string(opt.stats.leaves) +
                             " completion orders");
   }
-  if (opt.lp_failures > 0) {
+  if (opt.stats.lp_failures > 0) {
     // A near-degenerate instance broke the double simplex on an LP the
     // search relied on, so the optimum is unproven.  The Scheduler retries
     // a failed canonical-space solve in client space.
     return error_result(ErrorCode::SolverFailure,
-                        std::to_string(opt.lp_failures) +
+                        std::to_string(opt.stats.lp_failures) +
                             " order LP(s) missed optimality; the optimum "
                             "is not proven");
   }
@@ -222,19 +223,10 @@ double greedy_search_cost(std::size_t n) {
 }
 
 double optimal_cost(std::size_t n) {
-  // Below the crossover: n! order-LP solves.  Above: branch-and-bound —
-  // pruning makes the truth instance-dependent, so charge the n·2^n subset
-  // flavour that tracks the measured n = 8..18 envelope.
+  // Branch-and-bound: pruning makes the truth instance-dependent, so charge
+  // the n·2^n subset flavour that tracks the measured n = 8..18 envelope.
   const auto x = static_cast<double>(n);
-  double lp_count = 1.0;
-  if (n <= 7) {
-    for (std::size_t i = 2; i <= n; ++i) {
-      lp_count *= static_cast<double>(i);
-    }
-  } else {
-    lp_count = x * std::pow(2.0, x);
-  }
-  return 2e-4 * lp_count + 1e-4;
+  return 2e-4 * x * std::pow(2.0, x) + 1e-4;
 }
 
 }  // namespace
@@ -339,7 +331,7 @@ SolverRegistry SolverRegistry::with_default_solvers() {
     registry.register_solver(shared->name(), std::move(info));
   }
   // The order-based solvers all tie-break by task id (smith_order uses
-  // stable_sort, enumeration returns the first optimal order found), so
+  // stable_sort, branch-and-bound breaks sibling ties by index), so
   // their completions are not permutation-equivariant: scale-only caching.
   const auto register_plain = [&registry](const char* name, SolveResult (*fn)(const core::Instance&),
                                           const char* description,
@@ -370,9 +362,9 @@ SolverRegistry SolverRegistry::with_default_solvers() {
     SolverInfo info;
     info.fn = solve_optimal;
     info.description =
-        "exact optimum: n! enumeration for tiny n, branch-and-bound with "
-        "a subset-DP bound and an identical-shape exchange cut over "
-        "completion orders beyond (guard n <= 18)";
+        "exact optimum: branch-and-bound over completion orders with a "
+        "subset-DP bound and an identical-shape exchange cut (guard "
+        "n <= 18)";
     info.cancellable = true;
     info.cost_hint = optimal_cost;
     registry.register_solver("optimal", std::move(info));

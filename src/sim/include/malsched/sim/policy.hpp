@@ -53,8 +53,9 @@ class AllocationPolicy {
 /// (the single-processor analysis of [14] transplanted literally).
 [[nodiscard]] std::unique_ptr<AllocationPolicy> make_wrr_policy();
 
-/// Rigid FCFS: tasks in index order get exactly δ_i processors if they fit,
-/// otherwise wait — the non-malleable baseline.
+/// Rigid FCFS: tasks in index order get exactly δ_i processors if they fit
+/// (up to a rounding slack relative to P), otherwise wait — the
+/// non-malleable baseline.
 [[nodiscard]] std::unique_ptr<AllocationPolicy> make_fifo_rigid_policy();
 
 /// Clairvoyant Smith greedy: tasks in w/V-descending order get their full

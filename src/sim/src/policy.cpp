@@ -5,6 +5,7 @@
 
 #include "malsched/core/wdeq.hpp"
 #include "malsched/support/contracts.hpp"
+#include "malsched/support/float_compare.hpp"
 
 namespace malsched::sim {
 
@@ -66,14 +67,19 @@ class FifoRigidPolicy final : public AllocationPolicy {
     const std::size_t n = context.weights.size();
     std::vector<double> rates(n, 0.0);
     double left = context.processors;
+    // Widths that fill P exactly can miss it by an ulp once rescaled (the
+    // cache solves at P = 1), so the fit test grants a slack relative to P.
+    // A task admitted inside the slack runs at the capacity left, which
+    // keeps the total at most P.
+    const double slack = support::Tolerance{}.slack(context.processors);
     for (std::size_t i = 0; i < n && left > 0.0; ++i) {
       if (!context.alive[i]) {
         continue;
       }
       // Rigid: all-or-nothing at the task's width.
-      if (context.widths[i] <= left) {
-        rates[i] = context.widths[i];
-        left -= context.widths[i];
+      if (context.widths[i] <= left + slack) {
+        rates[i] = std::min(context.widths[i], left);
+        left -= rates[i];
       }
     }
     // Guard against total deadlock (first alive task wider than P can never

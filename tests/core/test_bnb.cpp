@@ -396,16 +396,16 @@ TEST(BnbDeath, RefusesInstancesBeyondTheGuard) {
   EXPECT_DEATH((void)mc::branch_and_bound(inst), "exponential");
 }
 
-TEST(OrderLpEvaluator, WarmStartedPushMatchesFromScratchSolves) {
-  ms::Rng rng(42);
-  mc::GeneratorConfig config;
-  config.family = mc::Family::Uniform;
-  config.num_tasks = 7;
-  config.processors = 4.0;
-  const auto inst = mc::generate(config, rng);
+namespace {
 
+/// Random push/pop walk that checks every push against a from-scratch
+/// solve of the same prefix.  About one push in five is structure-only
+/// (exact = true): it leaves the crash basis un-optimized, and the next
+/// warm push must start phase 2 from it.
+void check_warm_walk(const mc::Instance& inst, std::uint64_t seed,
+                     const std::string& label) {
   mc::OrderLpEvaluator evaluator(inst);
-  ms::Rng walk(7);
+  ms::Rng walk(seed);
   std::vector<std::size_t> prefix;
   for (int step = 0; step < 400; ++step) {
     const bool can_push = prefix.size() < inst.size();
@@ -416,15 +416,65 @@ TEST(OrderLpEvaluator, WarmStartedPushMatchesFromScratchSolves) {
             walk.uniform_int(0, static_cast<std::int64_t>(inst.size()) - 1));
       } while (std::find(prefix.begin(), prefix.end(), task) != prefix.end());
       prefix.push_back(task);
-      const double incremental = evaluator.push(task, /*exact=*/false);
       const double reference = mc::order_lp_objective(inst, prefix);
-      EXPECT_LT(relative_gap(incremental, reference), 1e-9)
-          << "depth " << prefix.size() << " step " << step;
+      if (walk.bernoulli(0.2)) {
+        EXPECT_EQ(evaluator.push(task, /*exact=*/true), reference)
+            << label << " depth " << prefix.size() << " step " << step;
+      } else {
+        const double incremental = evaluator.push(task, /*exact=*/false);
+        EXPECT_LT(relative_gap(incremental, reference), 1e-9)
+            << label << " depth " << prefix.size() << " step " << step;
+      }
       EXPECT_EQ(evaluator.depth(), prefix.size());
     } else {
       prefix.pop_back();
       evaluator.pop();
     }
+  }
+  EXPECT_EQ(evaluator.lp_failures(), 0u) << label;
+}
+
+}  // namespace
+
+// One ctest case per generator family, like BnbCutsFuzz.
+class OrderLpEvaluatorWalk : public ::testing::TestWithParam<mc::Family> {};
+
+TEST_P(OrderLpEvaluatorWalk, WarmStartedPushMatchesFromScratchSolves) {
+  const mc::Family family = GetParam();
+  ms::Rng rng(42 + static_cast<std::uint64_t>(family));
+  for (int rep = 0; rep < 4; ++rep) {
+    mc::GeneratorConfig config;
+    config.family = family;
+    config.num_tasks = 7;
+    config.processors = rep % 2 == 0 ? 4.0 : 2.0;
+    const auto inst = mc::generate(config, rng);
+    check_warm_walk(inst, 7 + static_cast<std::uint64_t>(rep),
+                    std::string(mc::family_name(family)) + " rep " +
+                        std::to_string(rep));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, OrderLpEvaluatorWalk,
+                         ::testing::ValuesIn(mc::all_families()),
+                         [](const auto& info) {
+                           std::string name = mc::family_name(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(OrderLpEvaluator, WarmStartedPushHandlesEdgeTasks) {
+  // Each edge task shapes the crash basis differently: δ ≥ P has no width
+  // rows, so L_k turns basic in the capacity row (δ = P exactly, too);
+  // zero volume makes the crash basis degenerate (x_{k,k} = L_k = 0); zero
+  // weight adds nothing to the earlier suffix costs.
+  const mc::Instance inst(3.0, {{1.5, 4.0, 1.0},
+                                {0.0, 1.0, 2.0},
+                                {2.0, 2.0, 0.0},
+                                {1.0, 1.5, 0.5},
+                                {0.7, 3.0, 1.2},
+                                {2.5, 0.5, 0.8}});
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    check_warm_walk(inst, seed, "edge walk " + std::to_string(seed));
   }
 }
 

@@ -185,6 +185,35 @@ TEST(Batch, FifoRigidSkipsPermutationQuotient) {
   EXPECT_NE(ra.objective(), rb.objective());
 }
 
+TEST(Batch, FifoRigidCachedMatchesDirectWhenWidthsFillP) {
+  // Integer widths that sum to P exactly become rationals whose float sum
+  // misses 1 by an ulp in canonical space (P = 1).  An exact fit test then
+  // held the last task back, and the cached ΣwC read 1.5 against the
+  // direct 1.25 on the first instance.
+  const auto registry = msvc::SolverRegistry::with_default_solvers();
+  struct Case {
+    double processors;
+    double first_width;
+    double second_width;
+  };
+  for (const Case c : {Case{5.0, 4.0, 1.0}, Case{10.0, 8.0, 2.0},
+                       Case{10.0, 9.0, 1.0}, Case{6.0, 5.0, 1.0}}) {
+    const mc::Instance inst(c.processors, {{1.0, c.first_width, 1.0},
+                                           {1.0, c.second_width, 1.0}});
+    msvc::ResultCache cache(64);
+    const auto cached =
+        msvc::solve_cached(registry, "fifo-rigid", msvc::intern(inst), &cache);
+    const auto direct = registry.solve("fifo-rigid", inst);
+    ASSERT_TRUE(cached.ok() && direct.ok());
+    EXPECT_FALSE(cached.cache_hit);
+    EXPECT_LE(std::fabs(cached.objective() - direct.objective()),
+              1e-9 * std::fabs(direct.objective()))
+        << "P " << c.processors << " widths " << c.first_width << ", "
+        << c.second_width << ": cached " << cached.objective()
+        << " vs direct " << direct.objective();
+  }
+}
+
 TEST(Batch, WideDynamicRangeBypassesTheCanonicalCache) {
   // Rescaling this instance pushes task 0's canonical volume (~2.5e-10)
   // under the engine's absolute tolerance, which would silently drop its

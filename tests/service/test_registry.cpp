@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
+#include "malsched/core/generators.hpp"
 #include "malsched/core/optimal.hpp"
+#include "malsched/service/canonical.hpp"
 #include "malsched/sim/engine.hpp"
 #include "malsched/sim/policy.hpp"
 
 namespace mc = malsched::core;
 namespace msvc = malsched::service;
 namespace msim = malsched::sim;
+namespace ms = malsched::support;
 
 namespace {
 
@@ -47,14 +52,59 @@ TEST(Registry, WdeqDispatchMatchesDirectEngineRun) {
   }
 }
 
-TEST(Registry, OptimalDispatchMatchesEnumeration) {
+// One ctest case per generator family, so `ctest -j` runs the n!
+// enumeration references in parallel instead of behind one serial loop.
+class RegistryOptimalDispatch : public ::testing::TestWithParam<mc::Family> {
+};
+
+TEST_P(RegistryOptimalDispatch, MatchesEnumeration) {
+  // The service runs branch-and-bound at every n; the library's n!
+  // enumeration is the reference.  Every family at n = 2..7, in client form
+  // and in the canonical form the cache solves.  The served objective must
+  // equal enumeration's bit for bit.  On exact ties the search may return
+  // a different optimal order, so the served completions are checked
+  // through the objective they reproduce.
+  const mc::Family family = GetParam();
   const auto registry = msvc::SolverRegistry::with_default_solvers();
-  const auto inst = small_instance();
-  const auto result = registry.solve("optimal", inst);
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const auto direct = mc::optimal_by_enumeration(inst);
-  EXPECT_NEAR(result.objective(), direct.objective, 1e-9);
+  msvc::CanonicalOptions canonical;
+  canonical.permute = registry.find("optimal")->order_invariant;
+  ms::Rng rng(2026 + static_cast<std::uint64_t>(family));
+  for (std::size_t n = 2; n <= 7; ++n) {
+    mc::GeneratorConfig config;
+    config.family = family;
+    config.num_tasks = n;
+    config.processors = 4.0;
+    const auto client = mc::generate(config, rng);
+    for (const bool canonical_form : {false, true}) {
+      const mc::Instance inst =
+          canonical_form ? msvc::canonicalize(client, canonical).instance
+                         : client;
+      const std::string label = std::string(mc::family_name(family)) + " n " +
+                                std::to_string(n) +
+                                (canonical_form ? " canonical" : " client");
+      const auto served = registry.solve("optimal", inst);
+      ASSERT_TRUE(served.ok()) << label << ": " << served.error().to_string();
+      const auto reference = mc::optimal_by_enumeration(inst);
+      EXPECT_EQ(served.objective(), reference.objective) << label;
+      ASSERT_EQ(served.completions().size(), n) << label;
+      double weighted = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        weighted += inst.task(i).weight * served.completions()[i];
+      }
+      EXPECT_LE(std::fabs(weighted - reference.objective),
+                1e-9 * std::fabs(reference.objective))
+          << label;
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, RegistryOptimalDispatch,
+                         ::testing::ValuesIn(mc::all_families()),
+                         [](const auto& info) {
+                           std::string name = mc::family_name(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 TEST(Registry, OptimalGuardsLargeInstances) {
   const auto registry = msvc::SolverRegistry::with_default_solvers();

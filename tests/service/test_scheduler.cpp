@@ -98,17 +98,16 @@ TEST(Scheduler, ShortRequestsResolveWhileALongSolveStillRuns) {
 
 TEST(Scheduler, MixedOptimalAndWdeqShortLatencyIsNotGatedOnTheLongSolve) {
   // Wall-clock flavour of the claim on the real zoo: one `optimal` request
-  // (n = 7: seconds of completion-order enumeration) admitted *first*, then
-  // a stream of wdeq requests.  Short-request p50 latency must sit far
-  // below the long solve's latency, i.e. shorts are not serialized behind
-  // the enumeration.  (n = 9 as in the paper-scale mix takes minutes per
-  // solve — n = 7 keeps the test seconds-long with the same 5-orders-of-
-  // magnitude duration gap.)
+  // (n = 11: about half a second of branch-and-bound in a Release build)
+  // admitted *first*, then a stream of wdeq requests.  Short-request p50
+  // latency must sit far below the long solve's latency, i.e. shorts are
+  // not serialized behind the search.  A smaller n solves in milliseconds
+  // and leaves no duration gap to measure.
   const auto registry = msvc::SolverRegistry::with_default_solvers();
   msvc::Scheduler scheduler(registry, {.threads = 2});
   ms::Rng rng(2012);
   mc::GeneratorConfig long_config;
-  long_config.num_tasks = 7;
+  long_config.num_tasks = 11;
   long_config.processors = 4.0;
   auto long_ticket =
       scheduler.submit("optimal", msvc::intern(mc::generate(long_config, rng)));
