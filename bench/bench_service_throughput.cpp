@@ -2,12 +2,12 @@
 // streaming admission, priority admission, cancellation, and multi-process
 // sharding.
 //
-// Eight claims about malsched::service are measured here:
+// Seven claims about malsched::service are measured here:
 //   1. batch throughput scales with worker threads (requests stream off the
 //      Scheduler's admission queue; speedup is bounded by the host's core
 //      count — a single-core host shows ~1x by construction),
-//   2. a warm canonicalization cache answers repeated traffic much faster
-//      than re-solving (target: >= 10x on the mean request),
+//   2. a warm canonicalization cache answers repeated traffic faster than
+//      re-solving (reported, not gated: the ratio of two single samples),
 //   3. the per-request output stream is byte-identical for every thread
 //      count (deterministic request-order results),
 //   4. streaming admission beats the barrier: on a batch mixing one long
@@ -27,31 +27,26 @@
 //      throughput with shard count on a cache-miss-heavy workload (like the
 //      thread-scaling claim, the speedup is bounded by the host's core
 //      count; a single-core host shows ~1x by construction, so the scaling
-//      gate arms only on multi-core hosts).  Emitted to BENCH_shard.json,
-//   8. on zipf-skewed repeated traffic arriving in fresh units and task
-//      orders, the quantized rational normal form's hit rate beats the
-//      legacy divide-only quotient by >= 20 points while a warm replay of
-//      the stream is byte-identical to the first pass (TinyLFU admission
-//      enabled, counters reported).
+//      gate arms only on multi-core hosts).  Emitted to BENCH_shard.json.
+//
+// The normal form's hit rate on zipf-skewed rescaled repeats is pinned in
+// tier-1 instead (Canonical.ZipfRescaledRepeatsPinTheEquivalenceClasses):
+// its counts are deterministic, so a test holds them exactly.
 
 #include <benchmark/benchmark.h>
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "malsched/core/generators.hpp"
 #include "malsched/service/batch.hpp"
-#include "malsched/service/canonical.hpp"
 #include "malsched/service/scheduler.hpp"
 #include "malsched/service/service.hpp"
 #include "malsched/shard/router.hpp"
@@ -617,175 +612,6 @@ bool run_sharded_vs_single(const service::SolverRegistry& registry,
          (!scaling_armed || shm_floor_ok) && failover_ok;
 }
 
-// --- 8. zipf-skewed repeated traffic: the cache normal form's hit rate. ---
-//
-// The cloud-batch pattern the rational normal form exists for: a small set
-// of base workloads arrives over and over under zipf-skewed popularity,
-// each time in different units (arbitrary continuous volume/weight scales,
-// nothing power-of-two) and with tasks listed in a different order.  The
-// legacy divide-only quotient keys on raw ratio bits, so every non-pow2
-// rescaling is a distinct key and the cache never warms; the quantized
-// normal form snaps the ratios to shared rationals and every repeat after a
-// base's first arrival hits.  Three CI gates:
-//   * the quantized hit rate must clear an absolute floor (0.5),
-//   * it must beat the legacy quotient's (simulated by first-seen counting
-//     of legacy_quotient_text keys over the same stream) by >= 20 points —
-//     the bar the normal form was accepted on,
-//   * replaying the stream against the warm cache must reproduce the first
-//     pass byte-for-byte (hits denormalize through the same canonical entry
-//     the miss filled, so output bytes cannot depend on cache state).
-// TinyLFU admission runs on the cache to exercise the production
-// configuration; admitted/rejected counters land in the JSON.
-
-/// Cache key of the legacy divide-only quotient, the scenario's baseline:
-/// volumes, widths and weights divided by ΣV, P and Σw, tasks stable-sorted
-/// by (V, δ, w), and no snapping of the ratios to rationals.
-std::string legacy_quotient_text(const core::Instance& instance) {
-  const double p = instance.processors();
-  const double total_v = instance.total_volume();
-  const double total_w = instance.total_weight();
-  const double v = total_v > 0.0 ? total_v : 1.0;
-  const double w = total_w > 0.0 ? total_w : 1.0;
-  std::vector<core::Task> tasks;
-  tasks.reserve(instance.size());
-  for (const core::Task& t : instance.tasks()) {
-    tasks.push_back({t.volume / v, t.width / p, t.weight / w});
-  }
-  std::stable_sort(tasks.begin(), tasks.end(),
-                   [](const core::Task& a, const core::Task& b) {
-                     return std::tie(a.volume, a.width, a.weight) <
-                            std::tie(b.volume, b.width, b.weight);
-                   });
-  return service::canonical_text(service::CanonicalForm{
-      core::Instance(1.0, std::move(tasks)), {}, 1.0, 1.0, 0});
-}
-
-bool run_zipf_hit_rate(const service::SolverRegistry& registry,
-                       const bench::BenchConfig& config,
-                       bench::BenchJson& json) {
-  const std::size_t num_bases = 24;
-  const std::size_t num_requests = bench::scaled(1500, config.scale, 256);
-  support::Rng rng(config.seed + 41);
-
-  std::vector<core::Instance> bases;
-  const std::vector<core::Family> families = {
-      core::Family::Uniform, core::Family::BandwidthLike,
-      core::Family::HeavyTailVolumes, core::Family::EqualWeights};
-  for (std::size_t b = 0; b < num_bases; ++b) {
-    core::GeneratorConfig generator;
-    generator.family = families[b % families.size()];
-    generator.num_tasks = 4 + static_cast<std::size_t>(rng.uniform_int(0, 8));
-    generator.processors = static_cast<double>(1 << rng.uniform_int(1, 4));
-    bases.push_back(core::generate(generator, rng));
-  }
-
-  // Zipf(1.2) popularity over the bases.
-  std::vector<double> cdf(num_bases, 0.0);
-  double total = 0.0;
-  for (std::size_t r = 0; r < num_bases; ++r) {
-    total += std::pow(static_cast<double>(r + 1), -1.2);
-    cdf[r] = total;
-  }
-
-  std::vector<service::InstanceHandle> stream;
-  stream.reserve(num_requests);
-  for (std::size_t r = 0; r < num_requests; ++r) {
-    const double u = rng.uniform(0.0, total);
-    const std::size_t b = static_cast<std::size_t>(
-        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-    const auto& base = bases[std::min(b, num_bases - 1)];
-    // The same work in fresh units and a fresh task order.
-    const double vs = rng.uniform(0.25, 4.0);
-    const double ws = rng.uniform(0.25, 4.0);
-    std::vector<core::Task> tasks = base.tasks();
-    for (auto& t : tasks) {
-      t.volume *= vs;
-      t.weight *= ws;
-    }
-    for (std::size_t i = tasks.size(); i > 1; --i) {
-      std::swap(tasks[i - 1], tasks[static_cast<std::size_t>(
-                                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-    }
-    stream.push_back(
-        service::intern(core::Instance(base.processors(), std::move(tasks))));
-  }
-
-  // Legacy quotient baseline: first sight of a legacy key is the miss it
-  // would have been; everything else would have hit.
-  std::size_t legacy_hits = 0;
-  {
-    std::vector<std::string> seen;
-    for (const auto& handle : stream) {
-      std::string text = legacy_quotient_text(handle.instance());
-      if (std::find(seen.begin(), seen.end(), text) != seen.end()) {
-        ++legacy_hits;
-      } else {
-        seen.push_back(std::move(text));
-      }
-    }
-  }
-
-  service::CacheOptions cache_options;
-  cache_options.capacity = std::size_t{1} << 16;
-  cache_options.admission = true;
-  service::ResultCache cache(cache_options);
-
-  const auto pass = [&](std::size_t* hits_out) {
-    std::vector<service::SolveResult> results;
-    results.reserve(stream.size());
-    std::size_t hits = 0;
-    for (const auto& handle : stream) {
-      results.push_back(service::solve_cached(registry, "wdeq", handle, &cache));
-      hits += results.back().cache_hit ? 1 : 0;
-    }
-    if (hits_out != nullptr) {
-      *hits_out = hits;
-    }
-    return results_text(std::move(results));
-  };
-  std::size_t quantized_hits = 0;
-  const std::string first_pass = pass(&quantized_hits);
-  const std::string warm_replay = pass(nullptr);
-
-  const double n = static_cast<double>(num_requests);
-  const double hit_rate_quantized = static_cast<double>(quantized_hits) / n;
-  const double hit_rate_legacy = static_cast<double>(legacy_hits) / n;
-  const double gain = hit_rate_quantized - hit_rate_legacy;
-  const bool byte_identical = warm_replay == first_pass;
-  const auto stats = cache.stats();
-
-  support::TextTable table({{"canonicalization", support::Align::Left},
-                            {"hit rate", support::Align::Right}});
-  table.add_row({"legacy divide-only (simulated)",
-                 support::fmt_ratio(hit_rate_legacy, 3)});
-  table.add_row({"rational normal form",
-                 support::fmt_ratio(hit_rate_quantized, 3)});
-  std::printf("zipf-skewed repeats (%zu requests over %zu bases, continuous "
-              "rescales + permutations, wdeq):\n%s",
-              num_requests, num_bases, table.to_string().c_str());
-  const bool floor_ok = hit_rate_quantized >= 0.5;
-  const bool gain_ok = gain >= 0.20;
-  std::printf("normal-form hit-rate gain: %.1f points (floor 20) — %s;  "
-              "absolute floor 0.5: %s\n",
-              gain * 100.0, gain_ok ? "CLEARED (ok)" : "BELOW (BUG)",
-              floor_ok ? "CLEARED (ok)" : "BELOW (BUG)");
-  std::printf("warm replay: output %s;  admission: %llu admitted, "
-              "%llu rejected\n\n",
-              byte_identical ? "IDENTICAL to first pass (byte-for-byte)"
-                             : "DIFFERS (BUG)",
-              static_cast<unsigned long long>(stats.admitted),
-              static_cast<unsigned long long>(stats.rejected));
-
-  json.add("zipf_normal_form", "hit_rate_quantized", hit_rate_quantized);
-  json.add("zipf_normal_form", "hit_rate_legacy", hit_rate_legacy);
-  json.add("zipf_normal_form", "gain_points", gain * 100.0);
-  json.add("zipf_normal_form", "byte_identical_replay",
-           byte_identical ? 1.0 : 0.0);
-  json.add("zipf_normal_form", "admitted", static_cast<double>(stats.admitted));
-  json.add("zipf_normal_form", "rejected", static_cast<double>(stats.rejected));
-  return floor_ok && gain_ok && byte_identical;
-}
-
 // Returns false when a correctness claim (determinism, streaming admission)
 // fails, so CI's bench-smoke step turns red instead of just printing the
 // mismatch.
@@ -798,9 +624,6 @@ bool run_zipf_hit_rate(const service::SolverRegistry& registry,
   // Sharding forks worker processes, so it goes first — before the global
   // thread pool (or any other thread) exists in this process.
   const bool sharded = run_sharded_vs_single(registry, config);
-
-  // --- 8. zipf-skewed repeated traffic through the cache normal form. ---
-  const bool zipf = run_zipf_hit_rate(registry, config, json);
 
   const std::size_t num_requests = bench::scaled(1000, config.scale);
   const auto requests = make_mixed_batch(num_requests, config.seed);
@@ -856,7 +679,7 @@ bool run_zipf_hit_rate(const service::SolverRegistry& registry,
     table.add_row({"warm cache", support::fmt_double(warm),
                    support::fmt_double(us(warm))});
     std::printf("canonicalization cache (1 thread):\n%s", table.to_string().c_str());
-    std::printf("warm-vs-cold speedup: %.1fx (target >= 10x)  "
+    std::printf("warm-vs-cold speedup: %.1fx  "
                 "hit_rate after both passes: %.3f  entries: %zu  weight: %zu\n\n",
                 cold / warm, stats.hit_rate(), stats.entries, stats.weight);
     json.add("cache", "cold_wall_ns", cold * 1e9);
@@ -884,7 +707,7 @@ bool run_zipf_hit_rate(const service::SolverRegistry& registry,
   const bool cancelled = run_cancel_check(json);
   json.add("determinism", "threads_1_vs_8_identical", deterministic ? 1.0 : 0.0);
   json.write();
-  return deterministic && streaming && priority && cancelled && sharded && zipf;
+  return deterministic && streaming && priority && cancelled && sharded;
 }
 
 void bm_solve_batch(benchmark::State& state) {

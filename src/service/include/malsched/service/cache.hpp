@@ -4,11 +4,17 @@
 /// Sharded LRU memo of canonical-space solve results, with size-aware
 /// eviction.
 ///
-/// Keys are `solver + '\n' + canonical_text(form)` strings; values are the
-/// solver output on the *canonical* instance, so one entry serves every
-/// scaled/permuted variant of the instance (the solve path denormalizes per
-/// request).  Striped mutexes keep concurrent workers from serializing on
-/// one lock; hit/miss/eviction counters feed the service telemetry.
+/// Keys are `solver + '\n' + canonical_text(form)`: the solver name, then
+/// the raw bytes of the canonical instance (n, then 3n IEEE-754 doubles;
+/// canonical.hpp), 8 + 24n bytes after the name.  The registry refuses
+/// solver names holding '\n', so the first '\n' ends the name and the key
+/// is unambiguous.  Values are the solver output on the *canonical*
+/// instance, so one entry serves every scaled/permuted variant of the
+/// instance (the solve path denormalizes per request).  Each entry stores
+/// its key once: the LRU list node owns the bytes and the shard's hash
+/// index holds a view of them.  Striped mutexes keep concurrent workers
+/// from serializing on one lock; hit/miss/eviction counters feed the
+/// service telemetry.
 ///
 /// Capacity is counted in *weight units*, not entries: an entry weighs
 /// 1 + completions.size(), so a memoized n = 500 solve costs ~500x the
@@ -44,6 +50,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -139,20 +146,31 @@ class ResultCache {
 
  private:
   struct Entry {
+    /// The key's only copy; the shard index holds a view of these bytes.
     std::string key;
     std::shared_ptr<const CachedSolve> value;
     std::size_t weight = 0;
     /// Expiry deadline; meaningful only when the cache has a TTL.
     std::chrono::steady_clock::time_point expires{};
   };
+  using Lru = std::list<Entry>;
+  /// Keys are views of `Entry::key`.  A list node never moves (recency
+  /// updates splice it), so a view is valid exactly as long as its node,
+  /// and Shard::erase drops the view before it frees the node.
+  using Index = std::unordered_map<std::string_view, Lru::iterator>;
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    Lru lru;  ///< front = most recently used
+    Index index;
     std::size_t weight = 0;  ///< sum of entry weights
     /// Popularity filter over this shard's key stream; null when the cache
     /// runs without admission.  Guarded by `mutex` like the rest.
     std::unique_ptr<TinyLfu> lfu;
+
+    /// Removes the entry `it` indexes, through iterators only.
+    void erase(Index::iterator it);
+    /// Removes the least recently used entry; the shard must not be empty.
+    void evict_lru();
   };
 
   static CacheOptions capacity_options(std::size_t capacity,

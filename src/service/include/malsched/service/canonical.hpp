@@ -11,7 +11,7 @@
 /// and task ids are interchangeable for order-invariant solvers.  The
 /// canonical form quotients all four symmetries: P = 1, Σ V_i ≈ 1,
 /// Σ w_i ≈ 1, tasks sorted lexicographically by (V, δ, w).  Two requests in
-/// the same equivalence class then serialize to the same cache key, so
+/// the same equivalence class then encode to the same cache key, so
 /// repeated traffic that differs only by units or task numbering re-solves
 /// nothing.
 ///
@@ -71,8 +71,9 @@ struct CanonicalForm {
   /// Σ w C (original) = objective_scale * Σ w C (canonical).
   double objective_scale = 1.0;
   /// Mixing hash of the canonical bit patterns: a fixed-width fingerprint
-  /// of the equivalence class (exact dedup uses `canonical_text`; the shard
-  /// ring hashes this for consistent-hash placement across workers).
+  /// of the equivalence class, used only for placement (the shard ring
+  /// hashes it across workers).  It may collide, so exact dedup in the
+  /// cache keys on the full `canonical_text` bytes, never on this alone.
   std::uint64_t key = 0;
 };
 
@@ -88,8 +89,12 @@ struct CanonicalOptions {
 [[nodiscard]] CanonicalForm canonicalize(const core::Instance& instance,
                                          const CanonicalOptions& options = {});
 
-/// Exact serialization of the canonical instance (hex float precision, so
-/// distinct canonical forms never collide in the cache map).
+/// Exact byte encoding of the canonical instance, the cache-key material:
+/// n as a uint64_t, then each task's volume, width and weight as raw
+/// IEEE-754 doubles (8 + 24n bytes, host byte order, −0.0 folded to +0.0).
+/// Injective — distinct canonical forms never share bytes — but binary and
+/// host-specific: the bytes never leave the process (neither the wire nor
+/// the journal carries them), and they are not meant for humans (io.hpp).
 [[nodiscard]] std::string canonical_text(const CanonicalForm& form);
 
 /// True when solving the canonical instance is numerically safe: rescaling

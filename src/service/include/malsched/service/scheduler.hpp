@@ -247,8 +247,9 @@ class Scheduler {
     /// Borrowed result cache; overrides the owned one when non-null (the
     /// caller keeps it alive and may share it across schedulers).
     ResultCache* cache = nullptr;
-    /// Weight budget of the owned cache (see cache.hpp; ~1 unit per
-    /// completion time, so the default bounds it near 8 MB of doubles).
+    /// Weight budget of the owned cache (see cache.hpp; 1 + n units per
+    /// entry, 46–80 heap bytes per unit at n = 4–16, so the default bounds
+    /// it near 45–80 MB; README has the measurement).
     std::size_t cache_capacity = std::size_t{1} << 20;
     /// Optional TTL of the owned cache, in seconds: entries older than this
     /// stop serving hits and are evicted lazily at lookup (cache.hpp).

@@ -199,7 +199,8 @@ class SolverRegistry {
     CostHintFn cost_hint;
   };
 
-  /// Registers (or replaces) a solver under `name`.
+  /// Registers (or replaces) a solver under `name`, which must not contain
+  /// '\n' (the cache-key separator, cache.hpp).
   void register_solver(std::string name, SolverFn fn,
                        bool order_invariant = false,
                        std::string description = "", bool cacheable = true);

@@ -43,6 +43,17 @@ ResultCache::Shard& ResultCache::shard_for(std::size_t key_hash) {
   return shards_[key_hash % shards_.size()];
 }
 
+void ResultCache::Shard::erase(Index::iterator it) {
+  const Lru::iterator node = it->second;
+  weight -= node->weight;
+  index.erase(it);  // the view goes first, then the bytes it points into
+  lru.erase(node);
+}
+
+void ResultCache::Shard::evict_lru() {
+  erase(index.find(lru.back().key));
+}
+
 std::shared_ptr<const CachedSolve> ResultCache::get(const std::string& key) {
   const std::size_t key_hash = std::hash<std::string>{}(key);
   Shard& shard = shard_for(key_hash);
@@ -60,9 +71,7 @@ std::shared_ptr<const CachedSolve> ResultCache::get(const std::string& key) {
   if (ttl_ && std::chrono::steady_clock::now() >= it->second->expires) {
     // Lazy TTL eviction: the lookup that finds a stale entry reclaims it
     // and reports a miss, so the caller re-solves and re-fills.
-    shard.weight -= it->second->weight;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    shard.erase(it);
     expired_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -104,24 +113,25 @@ void ResultCache::put(const std::string& key, CachedSolve value) {
           rejected_.fetch_add(1, std::memory_order_relaxed);
           return;
         }
-        shard.weight -= shard.lru.back().weight;
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
+        shard.evict_lru();
         evictions_.fetch_add(1, std::memory_order_relaxed);
       }
       admitted_.fetch_add(1, std::memory_order_relaxed);
     }
-    shard.lru.push_front(Entry{key, std::move(shared), weight, expires});
-    shard.index.emplace(key, shard.lru.begin());
+    // The node owns the one copy of the key; the index views it.  The node
+    // joins the LRU list only after the index holds it, so an insert that
+    // throws leaves no unindexed node for evict_lru to trip over.
+    Lru node;
+    node.push_back(Entry{key, std::move(shared), weight, expires});
+    shard.index.emplace(node.front().key, node.begin());
+    shard.lru.splice(shard.lru.begin(), node);
     shard.weight += weight;
   }
   // Evict LRU entries until back under the weight budget.  The newest entry
   // is never evicted, even when it alone exceeds the shard budget: a 1-entry
   // memo beats not caching an oversized instance at all.
   while (shard.weight > per_shard_capacity_ && shard.lru.size() > 1) {
-    shard.weight -= shard.lru.back().weight;
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
+    shard.evict_lru();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -146,8 +156,8 @@ CacheStats ResultCache::stats() const {
 void ResultCache::clear() {
   for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.index.clear();  // views first, then the keys they point into
     shard.lru.clear();
-    shard.index.clear();
     shard.weight = 0;
   }
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <tuple>
 
@@ -154,22 +154,27 @@ CanonicalForm canonicalize(const core::Instance& instance,
 }
 
 std::string canonical_text(const CanonicalForm& form) {
-  // %a round-trips doubles exactly and compactly; the text is a cache map
-  // key, not meant for humans (io.hpp serves that purpose).
-  std::string text;
-  text.reserve(16 + form.instance.size() * 48);
-  char buffer[96];
-  std::snprintf(buffer, sizeof buffer, "n=%zu", form.instance.size());
-  text += buffer;
+  // Layout in canonical.hpp.  The length follows from n, so distinct
+  // canonical forms never share bytes; host byte order is safe because the
+  // bytes never leave the process (wire.hpp encodes for the network).
+  const std::vector<core::Task>& tasks = form.instance.tasks();
+  const std::uint64_t n = tasks.size();
+  std::string bytes(sizeof n + tasks.size() * 3 * sizeof(double), '\0');
+  char* out = bytes.data();
+  const auto put = [&out](auto value) {
+    std::memcpy(out, &value, sizeof value);
+    out += sizeof value;
+  };
   // Same -0.0 normalization as the hash mix, so the two zero encodings
   // share the exact key too.
   const auto norm = [](double d) { return d == 0.0 ? 0.0 : d; };
-  for (const core::Task& t : form.instance.tasks()) {
-    std::snprintf(buffer, sizeof buffer, ";%a,%a,%a", norm(t.volume),
-                  norm(t.width), norm(t.weight));
-    text += buffer;
+  put(n);
+  for (const core::Task& t : tasks) {
+    put(norm(t.volume));
+    put(norm(t.width));
+    put(norm(t.weight));
   }
-  return text;
+  return bytes;
 }
 
 bool well_conditioned(const CanonicalForm& form) {

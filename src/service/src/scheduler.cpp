@@ -20,24 +20,26 @@ struct Interned {
 
   struct Quotient {
     CanonicalForm form;
-    std::string text;  ///< canonical_text(form), the cache-key material
-    bool safe;         ///< well_conditioned(form)
+    /// canonical_text(form): the raw bytes of the canonical instance
+    /// (8 + 24n), which follow the solver name in the cache key.
+    std::string key_bytes;
+    bool safe;  ///< well_conditioned(form)
   };
 
   /// The canonical quotient for permute on/off, built thread-safely on
   /// first use and cached for the handle's lifetime.  Lazy so handles whose
   /// requests never touch a cache (cache disabled, non-cacheable solver)
-  /// carry no canonical copies or key strings.
+  /// carry no canonical copies or key bytes.
   const Quotient& quotient(bool permute) const {
     const std::size_t i = permute ? 1 : 0;
     std::call_once(once_[i], [this, permute, i] {
       CanonicalOptions options;
       options.permute = permute;
       CanonicalForm form = canonicalize(instance, options);
-      std::string text = canonical_text(form);
+      std::string key_bytes = canonical_text(form);
       const bool safe = well_conditioned(form);
       quotients_[i] = std::make_unique<Quotient>(
-          Quotient{std::move(form), std::move(text), safe});
+          Quotient{std::move(form), std::move(key_bytes), safe});
     });
     return *quotients_[i];
   }
@@ -75,15 +77,16 @@ bool is_abort_code(ErrorCode code) noexcept {
 }
 
 // Canonical-space solve through the cache: look up, solve-and-fill on miss,
-// denormalize back to the client's task ids and units.  Failed solves are
-// never cached.
+// denormalize back to the client's task ids and units.  The cache key is
+// the solver name, '\n', then the canonical instance's raw bytes.  Failed
+// solves are never cached.
 SolveResult solve_canonical(const SolverRegistry& registry,
                             const std::string& solver,
                             const core::Instance& client_instance,
                             const CanonicalForm& form,
-                            const std::string& form_text, ResultCache& cache,
+                            const std::string& key_bytes, ResultCache& cache,
                             const SolveContext& context) {
-  const std::string key = solver + "\n" + form_text;
+  const std::string key = solver + "\n" + key_bytes;
 
   if (auto cached = cache.get(key)) {
     SolveResult result = SolveResult::success(
@@ -146,7 +149,8 @@ SolveResult solve_dispatch(const SolverRegistry& registry,
         return registry.solve(solver, interned.instance, context);
       }
       return solve_canonical(registry, solver, interned.instance,
-                             quotient.form, quotient.text, *cache, context);
+                             quotient.form, quotient.key_bytes, *cache,
+                             context);
     }
     return registry.solve(solver, interned.instance, context);
   } catch (const std::exception& e) {

@@ -246,6 +246,10 @@ void SolverRegistry::register_solver(std::string name, SolverFn fn,
 }
 
 void SolverRegistry::register_solver(std::string name, SolverInfo info) {
+  // The cache key is `name + '\n' + raw canonical bytes` (cache.hpp); a
+  // newline-free name makes its first '\n' the unambiguous separator.
+  MALSCHED_EXPECTS_MSG(name.find('\n') == std::string::npos,
+                       "solver names must not contain a newline");
   solvers_[std::move(name)] = std::move(info);
 }
 

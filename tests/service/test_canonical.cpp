@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "malsched/core/generators.hpp"
+#include "malsched/service/batch.hpp"
 #include "malsched/service/scheduler.hpp"
 #include "malsched/service/service.hpp"
 #include "malsched/service/solver_registry.hpp"
@@ -321,4 +324,122 @@ TEST(Canonical, ZeroTaskAndZeroSumEdgeCases) {
   EXPECT_DOUBLE_EQ(degenerate.instance.total_volume(), 0.0);
   EXPECT_DOUBLE_EQ(degenerate.instance.total_weight(), 0.0);
   EXPECT_DOUBLE_EQ(degenerate.time_scale, 1.0 / 2.0);
+}
+
+namespace {
+
+// Cache key of the divide-only quotient that the normal form replaced:
+// volumes, widths and weights divided by ΣV, P and Σw, tasks stable-sorted
+// by (V, δ, w), ratios left unsnapped.  It dedupes only identical and
+// power-of-two-scaled presentations, the baseline of the test below.
+std::string divide_only_key(const mc::Instance& instance) {
+  const double total_v = instance.total_volume();
+  const double total_w = instance.total_weight();
+  const double v = total_v > 0.0 ? total_v : 1.0;
+  const double w = total_w > 0.0 ? total_w : 1.0;
+  std::vector<mc::Task> tasks;
+  tasks.reserve(instance.size());
+  for (const mc::Task& t : instance.tasks()) {
+    tasks.push_back({t.volume / v, t.width / instance.processors(),
+                     t.weight / w});
+  }
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const mc::Task& a, const mc::Task& b) {
+                     return std::tie(a.volume, a.width, a.weight) <
+                            std::tie(b.volume, b.width, b.weight);
+                   });
+  return msvc::canonical_text(msvc::CanonicalForm{
+      mc::Instance(1.0, std::move(tasks)), {}, 1.0, 1.0, 0});
+}
+
+}  // namespace
+
+TEST(Canonical, ZipfRescaledRepeatsPinTheEquivalenceClasses) {
+  // The cloud-batch pattern the normal form exists for: 24 base workloads
+  // arrive 256 times under zipf(1.2) popularity, each time in fresh
+  // continuous volume and weight units and a fresh task order.  The cache
+  // (TinyLFU on, as the Scheduler runs it) never fills on this stream, so
+  // the hit count depends only on which canonical keys are equal: 231 hits
+  // through the quantized normal form, against 10 for the divide-only
+  // quotient.  A change to the key encoding must move neither count.  A
+  // warm replay must reproduce the first pass byte for byte, because hits
+  // denormalize the very entry the miss filled.
+  const std::size_t num_bases = 24;
+  const std::size_t num_requests = 256;
+  ms::Rng rng(20120521 + 41);
+  const mc::Family families[] = {mc::Family::Uniform, mc::Family::BandwidthLike,
+                                 mc::Family::HeavyTailVolumes,
+                                 mc::Family::EqualWeights};
+  std::vector<mc::Instance> bases;
+  for (std::size_t b = 0; b < num_bases; ++b) {
+    mc::GeneratorConfig generator;
+    generator.family = families[b % 4];
+    generator.num_tasks = 4 + static_cast<std::size_t>(rng.uniform_int(0, 8));
+    generator.processors = static_cast<double>(1 << rng.uniform_int(1, 4));
+    bases.push_back(mc::generate(generator, rng));
+  }
+  std::vector<double> cdf(num_bases, 0.0);
+  double total = 0.0;
+  for (std::size_t r = 0; r < num_bases; ++r) {
+    total += std::pow(static_cast<double>(r + 1), -1.2);
+    cdf[r] = total;
+  }
+  std::vector<msvc::InstanceHandle> stream;
+  for (std::size_t r = 0; r < num_requests; ++r) {
+    const double u = rng.uniform(0.0, total);
+    const std::size_t b = static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    const mc::Instance& base = bases[std::min(b, num_bases - 1)];
+    const double volume_scale = rng.uniform(0.25, 4.0);
+    const double weight_scale = rng.uniform(0.25, 4.0);
+    std::vector<mc::Task> tasks = base.tasks();
+    for (mc::Task& t : tasks) {
+      t.volume *= volume_scale;
+      t.weight *= weight_scale;
+    }
+    for (std::size_t i = tasks.size(); i > 1; --i) {
+      std::swap(tasks[i - 1],
+                tasks[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    stream.push_back(
+        msvc::intern(mc::Instance(base.processors(), std::move(tasks))));
+  }
+
+  std::size_t divide_only_hits = 0;
+  std::vector<std::string> seen;
+  for (const auto& handle : stream) {
+    std::string key = divide_only_key(handle.instance());
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+      ++divide_only_hits;
+    } else {
+      seen.push_back(std::move(key));
+    }
+  }
+  EXPECT_EQ(divide_only_hits, 10u);
+
+  const auto registry = msvc::SolverRegistry::with_default_solvers();
+  msvc::CacheOptions cache_options;
+  cache_options.capacity = std::size_t{1} << 16;
+  cache_options.admission = true;
+  msvc::ResultCache cache(cache_options);
+  const auto pass = [&](std::size_t& hits) {
+    msvc::ServiceReport report;
+    for (const auto& handle : stream) {
+      report.results.push_back(
+          msvc::solve_cached(registry, "wdeq", handle, &cache));
+      EXPECT_TRUE(report.results.back().ok());
+      hits += report.results.back().cache_hit ? 1 : 0;
+    }
+    return msvc::format_results(report);
+  };
+  std::size_t first_hits = 0;
+  std::size_t replay_hits = 0;
+  const std::string first_pass = pass(first_hits);
+  const std::string warm_replay = pass(replay_hits);
+  EXPECT_EQ(first_hits, 231u);
+  EXPECT_EQ(replay_hits, num_requests);
+  EXPECT_EQ(warm_replay, first_pass);
+  EXPECT_EQ(cache.stats().rejected, 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }

@@ -37,6 +37,20 @@ mc::Instance small_instance() {
   return mc::Instance(2.0, {{1.0, 1.0, 1.0}, {2.0, 2.0, 0.5}});
 }
 
+// Field-by-field option builders: g++ 12 flags every designated initializer
+// that leaves a member out (-Wmissing-field-initializers).
+msvc::Scheduler::Options with_threads(unsigned threads) {
+  msvc::Scheduler::Options options;
+  options.threads = threads;
+  return options;
+}
+
+msvc::SubmitOptions with_priority(double weight) {
+  msvc::SubmitOptions options;
+  options.priority_weight = weight;
+  return options;
+}
+
 // One genuinely-produced failure per code, through the public surface.
 std::vector<msvc::SolveResult> produce_all_failures() {
   const auto registry = msvc::SolverRegistry::with_default_solvers();
@@ -66,7 +80,7 @@ std::vector<msvc::SolveResult> produce_all_failures() {
 
   // QueueClosed: submit after Scheduler::close().
   {
-    msvc::Scheduler scheduler(registry, {.threads = 1});
+    msvc::Scheduler scheduler(registry, with_threads(1));
     scheduler.close();
     auto ticket =
         scheduler.submit("wdeq", msvc::intern(small_instance()));
@@ -90,13 +104,13 @@ std::vector<msvc::SolveResult> produce_all_failures() {
                                     std::vector<double>(inst.size(), 1.0)});
         },
         /*order_invariant=*/false, "test blocker", /*cacheable=*/false);
-    msvc::Scheduler scheduler(blocking, {.threads = 1});
+    msvc::Scheduler scheduler(blocking, with_threads(1));
     auto holder = scheduler.submit("blocker", msvc::intern(small_instance()));
     // A vanishing priority weight ranks this request far behind the blocker
     // under the default priority admission, so the worker is guaranteed to
     // pop the blocker first and this request is still queued at cancel().
     auto queued = scheduler.submit("wdeq", msvc::intern(small_instance()),
-                                   {.priority_weight = 1e-9});
+                                   with_priority(1e-9));
     EXPECT_TRUE(queued.cancel());
     failures.push_back(queued.get());
     released.store(true, std::memory_order_release);
@@ -106,7 +120,7 @@ std::vector<msvc::SolveResult> produce_all_failures() {
   // DeadlineExceeded: a deadline that already passed at submission; the
   // worker resolves it at pop time without starting a solve.
   {
-    msvc::Scheduler scheduler(registry, {.threads = 1});
+    msvc::Scheduler scheduler(registry, with_threads(1));
     msvc::SubmitOptions options;
     options.deadline = std::chrono::steady_clock::now();
     auto ticket =

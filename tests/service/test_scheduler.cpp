@@ -27,6 +27,20 @@ mc::Instance small_instance() {
   return mc::Instance(4.0, {{2.0, 2.0, 1.0}, {1.5, 1.0, 0.5}});
 }
 
+// Field-by-field option builders: g++ 12 flags every designated initializer
+// that leaves a member out (-Wmissing-field-initializers).
+msvc::Scheduler::Options with_threads(unsigned threads) {
+  msvc::Scheduler::Options options;
+  options.threads = threads;
+  return options;
+}
+
+msvc::SubmitOptions with_priority(double weight) {
+  msvc::SubmitOptions options;
+  options.priority_weight = weight;
+  return options;
+}
+
 // A solver that spins until `released` flips: a deterministic "long solve"
 // for streaming-admission tests (no wall-clock assumptions).
 msvc::SolverRegistry registry_with_blocker(const std::atomic<bool>& released) {
@@ -49,7 +63,7 @@ msvc::SolverRegistry registry_with_blocker(const std::atomic<bool>& released) {
 
 TEST(Scheduler, SubmitReturnsResolvableTicketsWithMonotonicIds) {
   const auto registry = msvc::SolverRegistry::with_default_solvers();
-  msvc::Scheduler scheduler(registry, {.threads = 2});
+  msvc::Scheduler scheduler(registry, with_threads(2));
   const auto handle = msvc::intern(small_instance());
 
   std::vector<msvc::Ticket> tickets;
@@ -77,7 +91,7 @@ TEST(Scheduler, ShortRequestsResolveWhileALongSolveStillRuns) {
   // nothing until the blocker finished.
   std::atomic<bool> released{false};
   const auto registry = registry_with_blocker(released);
-  msvc::Scheduler scheduler(registry, {.threads = 2});
+  msvc::Scheduler scheduler(registry, with_threads(2));
   const auto handle = msvc::intern(small_instance());
 
   auto long_ticket = scheduler.submit("blocker", handle);
@@ -104,7 +118,7 @@ TEST(Scheduler, MixedOptimalAndWdeqShortLatencyIsNotGatedOnTheLongSolve) {
   // not serialized behind the search.  A smaller n solves in milliseconds
   // and leaves no duration gap to measure.
   const auto registry = msvc::SolverRegistry::with_default_solvers();
-  msvc::Scheduler scheduler(registry, {.threads = 2});
+  msvc::Scheduler scheduler(registry, with_threads(2));
   ms::Rng rng(2012);
   mc::GeneratorConfig long_config;
   long_config.num_tasks = 11;
@@ -210,7 +224,7 @@ TEST(Scheduler, BackpressureBlocksSubmitWithoutDeadlock) {
 TEST(Scheduler, SubmitAfterCloseYieldsQueueClosed) {
   std::atomic<bool> released{false};
   const auto registry = registry_with_blocker(released);
-  msvc::Scheduler scheduler(registry, {.threads = 1});
+  msvc::Scheduler scheduler(registry, with_threads(1));
   const auto handle = msvc::intern(small_instance());
 
   auto admitted = scheduler.submit("blocker", handle);  // occupies the worker
@@ -262,7 +276,7 @@ TEST(Scheduler, InterningEliminatesPerRequestInstanceCopies) {
   EXPECT_EQ(&copy.instance(), &handle.instance());
   EXPECT_GE(handle.use_count(), 2) << "copies share the interned instance";
 
-  msvc::Scheduler scheduler(registry, {.threads = 4});
+  msvc::Scheduler scheduler(registry, with_threads(4));
   std::vector<msvc::Ticket> tickets;
   for (int i = 0; i < 32; ++i) {
     tickets.push_back(
@@ -278,7 +292,7 @@ TEST(Scheduler, InterningEliminatesPerRequestInstanceCopies) {
 
 TEST(Scheduler, InvalidHandleResolvesToParseError) {
   const auto registry = msvc::SolverRegistry::with_default_solvers();
-  msvc::Scheduler scheduler(registry, {.threads = 1});
+  msvc::Scheduler scheduler(registry, with_threads(1));
   auto ticket = scheduler.submit("wdeq", msvc::InstanceHandle{});
   const auto result = ticket.get();
   ASSERT_FALSE(result.ok());
@@ -355,7 +369,7 @@ TEST(Scheduler, CancelQueuedTicketResolvesWithoutConsumingASolve) {
                                   std::vector<double>(inst.size(), 0.0)});
       },
       /*order_invariant=*/false, "solve counter", /*cacheable=*/false);
-  msvc::Scheduler scheduler(registry, {.threads = 1});
+  msvc::Scheduler scheduler(registry, with_threads(1));
   const auto handle = msvc::intern(small_instance());
 
   auto holder = scheduler.submit("blocker", handle);
@@ -381,7 +395,7 @@ TEST(Scheduler, CancelWhileRunningAbortsACancellableSolve) {
   auto registry = msvc::SolverRegistry::with_default_solvers();
   {
     msvc::SolverRegistry::SolverInfo info;
-    info.fn = [&running](const mc::Instance& inst,
+    info.fn = [&running](const mc::Instance& /*instance*/,
                          const msvc::SolveContext& context) {
       running.store(true, std::memory_order_release);
       while (!context.cancel.cancelled()) {
@@ -396,7 +410,7 @@ TEST(Scheduler, CancelWhileRunningAbortsACancellableSolve) {
     info.cancellable = true;
     registry.register_solver("cancellable", std::move(info));
   }
-  msvc::Scheduler scheduler(registry, {.threads = 1});
+  msvc::Scheduler scheduler(registry, with_threads(1));
   auto ticket = scheduler.submit("cancellable", msvc::intern(small_instance()));
   while (!running.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -470,6 +484,49 @@ TEST(Scheduler, NearDegenerateOptimalFallsBackToClientSpace) {
   ASSERT_TRUE(served.ok()) << served.error().to_string();
   EXPECT_LE(std::fabs(served.objective() - direct.objective()),
             1e-9 * std::max(1.0, std::fabs(direct.objective())));
+}
+
+TEST(Scheduler, CanonicalFailureIsRetriedInClientSpaceAndNeverCached) {
+  // Every canonical form has P = 1, so this solver fails exactly on the
+  // canonical-space attempt and solves every client instance (P = 4 here).
+  // Both submissions must be served with the client-space answer, and the
+  // retry must not be cached: an entry holds canonical-space values, which
+  // the next hit would rescale a second time.
+  const auto reference = msvc::SolverRegistry::with_default_solvers();
+  std::atomic<int> canonical_attempts{0};
+  std::atomic<int> client_solves{0};
+  auto registry = msvc::SolverRegistry::with_default_solvers();
+  registry.register_solver(
+      "fails-canonical",
+      [&](const mc::Instance& inst) {
+        if (inst.processors() == 1.0) {
+          canonical_attempts.fetch_add(1, std::memory_order_relaxed);
+          return msvc::SolveResult::failure(
+              "", msvc::ErrorCode::SolverFailure, "refuses P = 1");
+        }
+        client_solves.fetch_add(1, std::memory_order_relaxed);
+        return reference.solve("wdeq", inst);
+      },
+      /*order_invariant=*/true, "fails on every canonical form");
+  const mc::Instance client = small_instance();
+  const auto direct = reference.solve("wdeq", client);
+  ASSERT_TRUE(direct.ok()) << direct.error().to_string();
+
+  msvc::Scheduler scheduler(registry, with_threads(1));
+  ASSERT_TRUE(scheduler.cache_enabled());
+  const auto handle = msvc::intern(client);
+  for (int round = 0; round < 2; ++round) {
+    const auto served = scheduler.submit("fails-canonical", handle).get();
+    ASSERT_TRUE(served.ok()) << "round " << round << ": "
+                             << served.error().to_string();
+    EXPECT_FALSE(served.cache_hit) << "round " << round;
+    EXPECT_EQ(served.objective(), direct.objective()) << "round " << round;
+    EXPECT_EQ(served.makespan(), direct.makespan()) << "round " << round;
+    EXPECT_EQ(served.completions(), direct.completions()) << "round " << round;
+  }
+  EXPECT_EQ(scheduler.cache_stats().entries, 0u);
+  EXPECT_EQ(canonical_attempts.load(), 2);
+  EXPECT_EQ(client_solves.load(), 2);
 }
 
 TEST(Scheduler, CancelRaceStressResolvesEveryTicketExactlyOnce) {
@@ -584,16 +641,16 @@ TEST(Scheduler, PriorityWeightOutranksEqualWork) {
     info.cost_hint = [](std::size_t) { return 100.0; };
     registry.register_solver("rec-n", std::move(info));
   }
-  msvc::Scheduler scheduler(registry, {.threads = 1});
+  msvc::Scheduler scheduler(registry, with_threads(1));
 
   auto holder = scheduler.submit("blocker", msvc::intern(small_instance()));
   // n identifies the request: 2 tasks = low weight, 3 tasks = high weight.
   auto low = scheduler.submit("rec-n", small_instance(),
-                              {.priority_weight = 1.0});
+                              with_priority(1.0));
   auto high = scheduler.submit(
       "rec-n",
       mc::Instance(4.0, {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}}),
-      {.priority_weight = 16.0});
+      with_priority(16.0));
   released.store(true, std::memory_order_release);
   EXPECT_TRUE(low.get().ok());
   EXPECT_TRUE(high.get().ok());
@@ -615,7 +672,7 @@ TEST(Scheduler, DeadlineExpiredWhileQueuedResolvesWithoutSolve) {
                                   std::vector<double>(inst.size(), 0.0)});
       },
       /*order_invariant=*/false, "solve counter", /*cacheable=*/false);
-  msvc::Scheduler scheduler(registry, {.threads = 1});
+  msvc::Scheduler scheduler(registry, with_threads(1));
   const auto handle = msvc::intern(small_instance());
 
   auto holder = scheduler.submit("blocker", handle);
@@ -636,7 +693,7 @@ TEST(Scheduler, DeadlineExpiredWhileQueuedResolvesWithoutSolve) {
 
 TEST(Scheduler, GenerousDeadlineDoesNotPerturbTheResult) {
   const auto registry = msvc::SolverRegistry::with_default_solvers();
-  msvc::Scheduler scheduler(registry, {.threads = 1});
+  msvc::Scheduler scheduler(registry, with_threads(1));
   const auto handle = msvc::intern(small_instance());
   msvc::SubmitOptions options;
   options.deadline =
@@ -658,7 +715,7 @@ TEST(Scheduler, DestructorDrainsPendingWork) {
   const auto handle = msvc::intern(small_instance());
   std::vector<msvc::Ticket> tickets;
   {
-    msvc::Scheduler scheduler(registry, {.threads = 2});
+    msvc::Scheduler scheduler(registry, with_threads(2));
     for (int i = 0; i < 16; ++i) {
       tickets.push_back(scheduler.submit("wdeq", handle));
     }
