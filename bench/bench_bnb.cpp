@@ -9,9 +9,11 @@
 //   3. the pinned n = 12 fixture (uniform, seed 42) that the CI smoke job
 //      replays with `--quick`: the wall-time ceiling turns an accidental
 //      O(n!) regression (or a broken bound) into a red build, and the
-//      pivots-per-push bar (<= 10: the warm push measures ~7, a return to
-//      a phase-1 repair would read ~27) does the same for the order-LP
-//      push — a deterministic count, so the gate cannot flake;
+//      pivots-per-push bar (<= 10: the covering kernel's dual simplex
+//      measures ~8.2 from a cold all-surplus basis per push) does the same
+//      for the order-LP push — a deterministic count, so the gate cannot
+//      flake.  Max-flow separation rounds and separated rows per push are
+//      printed and recorded beside it, ungated;
 //   4. the pinned structured n = 12 batch fixture for the identical-shape
 //      exchange cut (BnbOptions::use_cuts): two interleaved identical-shape
 //      batches under geometric weight spreads, solved cuts-on and
@@ -191,12 +193,12 @@ void run_scaling(const bench::BenchConfig& config, bench::BenchJson& json) {
               "n!/LPs factor shown — the acceptance bar is >= 100x.)\n\n");
 }
 
-/// Ceiling on the pinned fixture's mean phase-2 pivots per warm push.
+/// Ceiling on the pinned fixture's mean dual-simplex pivots per warm push.
 constexpr double kPivotsPerPushCeiling = 10.0;
 
-double pivots_per_push(const core::BnbStats& stats) {
-  // Every search node is one warm push.
-  return static_cast<double>(stats.pivots) /
+/// `count` per warm push: every search node is one.
+double per_push(std::size_t count, const core::BnbStats& stats) {
+  return static_cast<double>(count) /
          static_cast<double>(std::max<std::size_t>(1, stats.nodes));
 }
 
@@ -219,7 +221,7 @@ int measure_pinned(bench::BenchJson& json) {
       wall_seconds([&] { result = core::branch_and_bound(inst); });
   const double ratio =
       factorial(12) / static_cast<double>(result.stats.lp_evaluations);
-  const double per_push = pivots_per_push(result.stats);
+  const double pivots = per_push(result.stats.pivots, result.stats);
 
   json.add("pinned_uniform_n12", "wall_ns", seconds * 1e9);
   json.add("pinned_uniform_n12", "nodes", static_cast<double>(result.stats.nodes));
@@ -232,20 +234,27 @@ int measure_pinned(bench::BenchJson& json) {
   json.add("pinned_uniform_n12", "factorial_over_lp", ratio);
   json.add("pinned_uniform_n12", "pivots",
            static_cast<double>(result.stats.pivots));
-  json.add("pinned_uniform_n12", "pivots_per_push", per_push);
+  json.add("pinned_uniform_n12", "pivots_per_push", pivots);
+  json.add("pinned_uniform_n12", "max_flows_per_push",
+           per_push(result.stats.max_flows, result.stats));
+  json.add("pinned_uniform_n12", "cut_rows_per_push",
+           per_push(result.stats.cut_rows, result.stats));
   json.add("pinned_uniform_n12", "objective", result.objective);
   json.add("pinned_uniform_n12", "ceiling_seconds", ceiling_seconds);
 
   std::printf("pinned uniform n=12 (seed %llu): objective %.6f in %.2fs — "
               "%zu nodes, %zu of %zu leaves re-solved, %zu LP evals "
-              "(n!/LPs = %.0fx, bar >= 100x), %zu pivots (%.2f per push)\n",
+              "(n!/LPs = %.0fx, bar >= 100x), %zu pivots (%.2f per push), "
+              "%.2f max-flows and %.2f rows per push\n",
               static_cast<unsigned long long>(kPinnedSeed), result.objective,
               seconds, result.stats.nodes, result.stats.leaf_resolves,
               result.stats.leaves, result.stats.lp_evaluations, ratio,
-              result.stats.pivots, per_push);
+              result.stats.pivots, pivots,
+              per_push(result.stats.max_flows, result.stats),
+              per_push(result.stats.cut_rows, result.stats));
   const bool time_ok = seconds <= ceiling_seconds;
   const bool ratio_ok = ratio >= 100.0;
-  const bool pivots_ok = per_push <= kPivotsPerPushCeiling;
+  const bool pivots_ok = pivots <= kPivotsPerPushCeiling;
   std::printf("ceiling %.0fs: %s;  LP-reduction bar: %s;  pivots-per-push "
               "bar (<= %.0f): %s\n\n",
               ceiling_seconds, time_ok ? "PASS" : "FAIL (O(n!) regression?)",
@@ -300,22 +309,36 @@ int measure_structured_cuts(bench::BenchJson& json) {
   json.add("structured_cuts_n12", "cuts_on_pivots",
            static_cast<double>(with.stats.pivots));
   json.add("structured_cuts_n12", "cuts_on_pivots_per_push",
-           pivots_per_push(with.stats));
+           per_push(with.stats.pivots, with.stats));
   json.add("structured_cuts_n12", "cuts_off_pivots",
            static_cast<double>(without.stats.pivots));
   json.add("structured_cuts_n12", "cuts_off_pivots_per_push",
-           pivots_per_push(without.stats));
+           per_push(without.stats.pivots, without.stats));
+  json.add("structured_cuts_n12", "cuts_on_max_flows_per_push",
+           per_push(with.stats.max_flows, with.stats));
+  json.add("structured_cuts_n12", "cuts_on_cut_rows_per_push",
+           per_push(with.stats.cut_rows, with.stats));
+  json.add("structured_cuts_n12", "cuts_off_max_flows_per_push",
+           per_push(without.stats.max_flows, without.stats));
+  json.add("structured_cuts_n12", "cuts_off_cut_rows_per_push",
+           per_push(without.stats.cut_rows, without.stats));
   json.add("structured_cuts_n12", "objective", with.objective);
 
   std::printf("structured batch n=12: cuts-on %zu nodes (%.2fs) vs cuts-off "
               "%zu nodes (%.2fs) — %.0fx; leaves re-solved %zu of %zu vs "
               "%zu of %zu; pivots %zu (%.2f per push) vs %zu (%.2f per "
-              "push)\n",
+              "push); max-flows %.2f vs %.2f and rows %.2f vs %.2f per "
+              "push\n",
               with.stats.nodes, on_seconds, without.stats.nodes, off_seconds,
               node_ratio, with.stats.leaf_resolves, with.stats.leaves,
               without.stats.leaf_resolves, without.stats.leaves,
-              with.stats.pivots, pivots_per_push(with.stats),
-              without.stats.pivots, pivots_per_push(without.stats));
+              with.stats.pivots, per_push(with.stats.pivots, with.stats),
+              without.stats.pivots,
+              per_push(without.stats.pivots, without.stats),
+              per_push(with.stats.max_flows, with.stats),
+              per_push(without.stats.max_flows, without.stats),
+              per_push(with.stats.cut_rows, with.stats),
+              per_push(without.stats.cut_rows, without.stats));
   const bool ratio_ok = node_ratio >= 5.0;
   const bool parity_ok = with.objective == without.objective;
   std::printf("exchange-cut gate (>= 5x fewer nodes, bit-equal objective): "

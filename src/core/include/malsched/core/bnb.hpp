@@ -11,8 +11,12 @@
 /// * Incremental evaluation — an OrderLpEvaluator solves one prefix-sized
 ///   order LP per node (the prefix objective is an exact lower bound on what
 ///   those tasks contribute to any completion of the prefix), instead of one
-///   full-n LP per leaf.  Leaves are pushed warm like every other node; a
-///   leaf is re-solved from scratch only when its warm value is not at
+///   full-n LP per leaf.  It works on the LP's covering form in the column
+///   lengths, over a pool of min-cut rows that a subtree inherits; any
+///   subset of those rows is a relaxation, so every warm value is itself a
+///   lower bound, which is all the child bound, the refined bound and the
+///   leaf filter below need.  Leaves are pushed warm like every other node;
+///   a leaf is re-solved from scratch only when its warm value is not at
 ///   least the bound slack above the incumbent, so the incumbent (and the
 ///   returned objective and order) holds from-scratch values only.
 /// * Admissible bounds — a node's value is bounded below by
@@ -46,11 +50,12 @@
 ///   zero-weight tasks complete last (moving them is free).
 ///
 /// The incumbent is seeded with the order LP of the classical priority
-/// orders (Smith first — §VI's suggestion) and the greedy-heuristic order,
-/// and siblings are explored cheapest-bound-first, so pruning bites from
-/// the first descent.  With bounds and dominance disabled the search
-/// degenerates to exhaustive enumeration and visits exactly n! leaves —
-/// the correctness test for the pruning machinery.
+/// orders (Smith first — §VI's suggestion) and the greedy-heuristic order
+/// (each distinct order solved once), and siblings are explored
+/// cheapest-bound-first, so pruning bites from the first descent.  With
+/// bounds and dominance disabled the search degenerates to exhaustive
+/// enumeration and visits exactly n! leaves — the correctness test for the
+/// pruning machinery.
 
 #include <cstddef>
 #include <vector>
@@ -96,8 +101,8 @@ struct BnbOptions {
 struct BnbStats {
   std::size_t nodes = 0;             ///< prefixes expanded (LP-evaluated)
   std::size_t leaves = 0;            ///< complete orders evaluated
-  std::size_t lp_evaluations = 0;    ///< order-LP solves, seeds and leaf
-                                     ///< re-solves included
+  std::size_t lp_evaluations = 0;    ///< order-LP solves, distinct seeds
+                                     ///< and leaf re-solves included
   std::size_t leaf_resolves = 0;     ///< leaves whose warm value could beat
                                      ///< the incumbent, re-solved from
                                      ///< scratch (≤ leaves)
@@ -105,9 +110,15 @@ struct BnbStats {
   std::size_t pruned_by_cut = 0;     ///< branches never generated by the
                                      ///< identical-shape exchange cut
   std::size_t pruned_by_dominance = 0;  ///< branches never generated
-  /// Phase-2 simplex pivots of the warm pushes (OrderLpEvaluator::pivots);
-  /// pivots / nodes is the mean pivot count of one push.
+  /// Dual-simplex pivots of the warm pushes over the covering order LP
+  /// (OrderLpEvaluator::pivots); pivots / nodes is the mean pivot count of
+  /// one push.
   std::size_t pivots = 0;
+  /// Max-flow separation rounds of the warm pushes
+  /// (OrderLpEvaluator::max_flows).
+  std::size_t max_flows = 0;
+  /// Violated-set rows those rounds added (OrderLpEvaluator::cut_rows).
+  std::size_t cut_rows = 0;
   /// Order LPs the search relied on that missed optimality: leaf
   /// re-solves, from-scratch fallbacks of warm pushes, and the
   /// want_schedule solve.  Failed incumbent seeds are heuristics and are

@@ -60,36 +60,49 @@ struct OrderLpResult {
                                         std::span<const std::size_t> order);
 
 namespace detail {
-class IncrementalOrderLp;
+class CoveringOrderLp;
 }  // namespace detail
 
 /// Resumable prefix evaluation for branch-and-bound over completion orders.
 ///
 /// A depth-first search over order prefixes re-visits each prefix's
 /// ancestors once per subtree; this evaluator keeps one stack of per-depth
-/// state so extending a prefix by one task reuses everything the parent
-/// already paid for:
+/// state so extending a prefix by one task reuses what the parent found:
 ///
-/// * the parent's *optimal simplex basis* — a push appends the new
-///   position's columns and rows to the parent tableau (the new volume
-///   variables' reduced columns are exactly the stored slack columns of the
-///   old capacity rows, so no basis-inverse solve is needed), makes it
-///   primal feasible with a crash basis (the new task runs alone in a new
-///   last column, two pivots on the new rows only), and re-optimizes with
-///   phase 2 alone — a few pivots instead of a from-scratch two-phase
-///   solve;
+/// * the prefix LP in its *covering form*.  For a fixed order the volume
+///   splits are a flow (source → position a with capacity V_a → column
+///   j <= a with δ_a·L_j → sink with P·L_j), so by max-flow/min-cut the LP
+///   is, in the k column lengths L_j alone,
+///
+///     min Σ_j W_j·L_j  s.t.  Σ_j L_j · min(P, Σ_{a∈S, a≥j} δ_a) >= V(S)
+///                            for every position set S,  L >= 0,
+///
+///   with W_j the suffix weight.  The row coefficients are submodular in S
+///   (the polymatroid structure of malleable scheduling).  The evaluator
+///   keeps a pool of such rows: a push adds the new position's singleton
+///   row, solves the pool with a dual simplex from the all-surplus basis
+///   (dual feasible because W >= 0; no phase 1), and separates with a
+///   max-flow on the network above — when the flow misses ΣV, the
+///   positions reachable from the source in the residual graph form a
+///   violated set, whose row is appended in the current basis before the
+///   dual simplex continues.  Rows found at a node stay valid in its whole
+///   subtree (their coefficient on every later L_j is 0); pop() truncates
+///   the pool to the parent's size, so no tableau is ever copied;
 /// * the greedy capacity-profile state (Algorithm 3's water-level profile)
 ///   — `greedy_completion` probes where a candidate task would finish
 ///   against the current prefix without any LP work, which the search uses
 ///   to order sibling branches best-first.
 ///
-/// The warm-started value equals the prefix order LP optimum up to simplex
-/// tolerance (1e-9 relative in the tests).  Branch-and-bound uses it at
-/// leaves too, as a filter: it re-solves a leaf with `order_lp_objective`
-/// only when the warm value could still beat the incumbent, so every
-/// objective it reports is a from-scratch value, bit-identical with what
-/// the enumeration baseline computes for the same order.  An *exact* push
-/// returns that from-scratch value directly.
+/// Any subset of the rows is a relaxation, so the warm value is a *lower
+/// bound* on the prefix order LP optimum even when separation stops early
+/// (row budget, a set already pooled, or a tolerance tie between flow and
+/// LP); in practice it matches the from-scratch value to simplex tolerance
+/// (1e-9 relative in the tests).  Branch-and-bound needs only the lower
+/// bound, and uses it at leaves too, as a filter: it re-solves a leaf with
+/// `order_lp_objective` only when the warm value could still beat the
+/// incumbent, so every objective it reports is a from-scratch value,
+/// bit-identical with what the enumeration baseline computes for the same
+/// order.  An *exact* push returns that from-scratch value directly.
 class OrderLpEvaluator {
  public:
   explicit OrderLpEvaluator(const Instance& instance);
@@ -120,10 +133,15 @@ class OrderLpEvaluator {
   [[nodiscard]] std::size_t lp_evaluations() const noexcept {
     return lp_evaluations_;
   }
-  /// Simplex pivots that warm pushes have made so far, counting phase-2
-  /// ratio-test pivots only (the two crash pivots of every push are fixed
-  /// overhead).  Deterministic for a given push/pop sequence.
+  /// Dual-simplex pivots that warm pushes have made so far, over the
+  /// covering rows (the pool and the separated rows).  Deterministic for a
+  /// given push/pop sequence.
   [[nodiscard]] std::size_t pivots() const noexcept;
+  /// Max-flow separation rounds that warm pushes have run so far (each
+  /// solve ends with one that saturates or stops).
+  [[nodiscard]] std::size_t max_flows() const noexcept;
+  /// Violated-set rows that separation has added to the pool so far.
+  [[nodiscard]] std::size_t cut_rows() const noexcept;
   /// Pushes whose value is not finite: the from-scratch solve (an exact
   /// push, or the fallback of a failed warm start) missed optimality, so
   /// that prefix value is unusable.
@@ -137,7 +155,7 @@ class OrderLpEvaluator {
   std::vector<double> objectives_;        ///< objectives_[d]: depth d+1 value
   std::vector<double> volumes_;           ///< cumulative volume per depth
   std::vector<CapacityProfile> profiles_; ///< profiles_[d]: after d tasks
-  std::unique_ptr<detail::IncrementalOrderLp> lp_;
+  std::unique_ptr<detail::CoveringOrderLp> lp_;
   std::size_t lp_evaluations_ = 0;
   std::size_t lp_failures_ = 0;
 };

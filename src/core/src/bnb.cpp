@@ -137,6 +137,8 @@ class Searcher {
     stats_.lp_evaluations += evaluator_.lp_evaluations();
     stats_.lp_failures += evaluator_.lp_failures();
     stats_.pivots = evaluator_.pivots();
+    stats_.max_flows = evaluator_.max_flows();
+    stats_.cut_rows = evaluator_.cut_rows();
     // Only a failed or cancelled search can end without an incumbent.
     MALSCHED_ENSURES(!best_order_.empty() || cancelled_ ||
                      stats_.lp_failures > 0);
@@ -162,7 +164,13 @@ class Searcher {
   }
 
   /// Seeds are heuristics: a seed LP that fails (+infinity) is skipped.
+  /// So is an order already tried: it would give the same value again,
+  /// which cannot be strictly below the incumbent.
   void consider_seed(std::vector<std::size_t> order) {
+    if (std::find(seeds_.begin(), seeds_.end(), order) != seeds_.end()) {
+      return;
+    }
+    seeds_.push_back(order);
     ++stats_.lp_evaluations;
     const double objective = order_lp_objective(instance_, order);
     if (objective < incumbent_) {
@@ -413,6 +421,7 @@ class Searcher {
   double incumbent_ = kInf;
   bool cancelled_ = false;
   std::vector<std::size_t> best_order_;
+  std::vector<std::vector<std::size_t>> seeds_;  ///< seed orders tried
 };
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "malsched/core/order_lp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -216,322 +218,466 @@ double order_lp_objective(const Instance& instance,
 
 namespace detail {
 
-/// Warm-started simplex over the compact order LP, specialized for the
-/// push/pop access pattern of branch-and-bound.
+/// The covering form of the prefix order LP (formulation and lower-bound
+/// argument: OrderLpEvaluator), specialized for the push/pop access
+/// pattern of branch-and-bound.
 ///
-/// The tableau for a prefix of length k holds, per position a: the column
-/// length L_a, the volume splits x_{a,j} (j <= a), one capacity row
-/// (Σ x_{·,a} <= P·L_a), width rows x_{a,j} <= δ_a·L_j where δ_eff < P,
-/// and one volume row (Σ_j x_{a,j} = V_a).  Pushing position k:
-///
-/// * new columns x_{k,j} (j < k) touch exactly one *old* row — capacity
-///   row j with coefficient +1 — so their reduced form B⁻¹·e_row is the
-///   current tableau column of that row's slack variable, a plain copy;
-///   L_k and x_{k,k} touch no old rows at all;
-/// * new rows are reduced against the basis in one pass (only the width
-///   rows reference an old variable, L_j);
-/// * a crash basis makes the extended tableau primal feasible at once:
-///   x_{k,k} becomes basic in the volume row and L_k in width row (k, k)
-///   (capacity row k when δ_eff = P leaves no width rows).  That basis is
-///   the schedule "task k runs alone in a new last column" — x_{k,k} = V_k,
-///   L_k = V_k/δ_eff, capacity slack V_k·(P/δ_eff − 1) — and its two pivots
-///   touch new rows only, because only they hold x_{k,k} and L_k;
-/// * phase 2 alone, re-priced with the suffix weights (the new position
-///   adds its weight to the cost of every earlier L_j), re-optimizes from
-///   there in a few pivots.
-///
-/// pop() restores the parent's full state from a per-depth snapshot.
-class IncrementalOrderLp {
+/// * The pool stores each row's position set, V(S) and coefficients.  A
+///   push adds the singleton row {k}; rows separated at a node stay for its
+///   whole subtree, and pop() truncates the pool to the size recorded at
+///   the push.
+/// * solve() is cold on purpose: the suffix weights of every earlier L_j
+///   change with each push, so the parent's basis need not stay dual
+///   feasible, while the all-surplus basis always is.  It alternates the
+///   dual simplex with max-flow separation until the flow saturates, the
+///   violated set is already pooled, or the row budget runs out.
+class CoveringOrderLp {
  public:
-  explicit IncrementalOrderLp(const Instance& instance)
-      : instance_(&instance), processors_(instance.processors()) {}
+  explicit CoveringOrderLp(const Instance& instance)
+      : instance_(&instance),
+        processors_(instance.processors()),
+        stride_(instance.size()) {}
 
-  double push(std::size_t task, bool solve = true) {
-    snapshots_.push_back(state_);
-    State& s = state_;
-    const std::size_t position = s.position_weights.size();
-    const Task& t = instance_->task(task);
-    const double width = instance_->effective_width(task);
+  /// Appends position k (the structure a solve needs, but no solve).
+  void append(std::size_t task) {
+    MALSCHED_EXPECTS_MSG(tasks_.size() < kMaxDepth,
+                         "covering order LP positions are bits of a 64-bit "
+                         "set mask");
+    pool_marks_.push_back(row_sets_.size());
+    tasks_.push_back(task);
+    widths_.push_back(instance_->effective_width(task));
+    volumes_.push_back(instance_->task(task).volume);
+    weights_.push_back(instance_->task(task).weight);
+    (void)add_pool_row(Mask{1} << (tasks_.size() - 1));
+  }
 
-    // --- new columns -----------------------------------------------------
-    // x_{k,j} for j < position: reduced column = capacity row j's slack
-    // column (its only old-row coefficient is +1 in that row).
-    std::vector<std::size_t> x_cols(position + 1);
-    for (std::size_t j = 0; j < position; ++j) {
-      x_cols[j] = append_column_copy(s.cap_slack_col[j]);
+  void pop() {
+    MALSCHED_ASSERT(!tasks_.empty());
+    const std::size_t rows = pool_marks_.back();
+    pool_marks_.pop_back();
+    row_sets_.resize(rows);
+    row_volumes_.resize(rows);
+    row_coeffs_.resize(rows * stride_);
+    tasks_.pop_back();
+    widths_.pop_back();
+    volumes_.pop_back();
+    weights_.pop_back();
+  }
+
+  /// Prefix LP value over the pool plus the rows separation adds.
+  double solve() {
+    const std::size_t k = tasks_.size();
+    costs_.assign(k, 0.0);
+    double suffix_weight = 0.0;
+    for (std::size_t j = k; j-- > 0;) {
+      suffix_weight += weights_[j];
+      costs_[j] = suffix_weight;
     }
-    // L_k and x_{k,k} appear in new rows only.
-    const std::size_t l_col = append_zero_column();
-    x_cols[position] = append_zero_column();
-    s.l_col.push_back(l_col);
+    prefix_volume_ = 0.0;
+    for (const double volume : volumes_) {
+      prefix_volume_ += volume;
+    }
+    feasibility_tol_ = kFeasibilityTol * prefix_volume_;
+    const double flow_tol = kFlowTol * std::max(1.0, prefix_volume_);
 
-    // --- new rows (reduced against the current basis) --------------------
-    // Capacity row k: x_{k,k} − P·L_k <= 0 — all-new variables, no
-    // reduction needed.  Future pushes add their x_{·,k} into this row via
-    // the slack-column copy above, which is why the slack column index is
-    // recorded.
-    const std::size_t cap_row = append_row();
-    s.tab[cap_row][x_cols[position]] = 1.0;
-    s.tab[cap_row][l_col] = -processors_;
-    s.cap_slack_col.push_back(append_zero_column());
-    s.tab[cap_row][s.cap_slack_col.back()] = 1.0;
-    s.basis.push_back(s.cap_slack_col.back());
-    s.rhs.push_back(0.0);
-    // Width rows x_{k,j} − δ·L_j <= 0 (skipped when the capacity row
-    // already implies them).  For j < position they reference the old
-    // variable L_j and must be reduced if it is basic.
-    std::size_t l_row = cap_row;  // L_k's crash row: width row (k, k) if any
-    if (width < processors_) {
-      for (std::size_t j = 0; j <= position; ++j) {
-        const std::size_t row = append_row();
-        s.rhs.push_back(0.0);
-        s.tab[row][x_cols[j]] = 1.0;
-        const std::size_t lj = j == position ? l_col : s.l_col[j];
-        s.tab[row][lj] += -width;
-        reduce_row_against_basis(row);
-        const std::size_t slack = append_zero_column();
-        s.tab[row][slack] = 1.0;
-        s.basis.push_back(slack);
-        l_row = row;
+    // All-surplus basis: every L_j nonbasic at 0, every row's surplus
+    // basic at −V(S).  Reduced costs are the W_j >= 0: dual feasible.
+    nonbasic_.resize(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      nonbasic_[j] = j;
+    }
+    reduced_ = costs_;
+    rows_ = row_sets_.size();
+    tab_.resize(rows_ * k);
+    beta_.resize(rows_);
+    basic_.resize(rows_);
+    for (std::size_t r = 0; r < rows_; ++r) {
+      std::copy_n(&row_coeffs_[r * stride_], k, &tab_[r * k]);
+      beta_[r] = -row_volumes_[r];
+      basic_[r] = k + r;
+    }
+    basic_row_.assign(k, kNone);
+    iterations_ = 0;
+    iteration_cap_ = 50 * (row_sets_.size() + k) + 200;
+
+    for (std::size_t added = 0;; ++added) {
+      if (!dual_simplex()) {
+        // Budget exhausted or no ratio-test candidate: the basis drifted.
+        // The pool stays valid, so only this node's value is recomputed.
+        return order_lp_objective(*instance_, tasks_);
+      }
+      read_lengths();
+      if (added == kRowBudget) {
+        break;
+      }
+      ++max_flows_;
+      const Mask set = violated_set(flow_tol);
+      if (set == 0 || pooled(set) || !add_pool_row(set)) {
+        break;
+      }
+      ++cut_rows_;
+      append_tableau_row(row_sets_.size() - 1);
+      if (beta_.back() >= -feasibility_tol_) {
+        // The flow and the LP disagree within tolerance: no progress.
+        break;
       }
     }
-    // Volume row: Σ_j x_{k,j} = V_k — all-new nonbasic variables, so it is
-    // already in reduced form.  x_{k,k} is entered as its basic variable
-    // by the crash pivot below.
-    const std::size_t volume_row = append_row();
-    for (std::size_t j = 0; j <= position; ++j) {
-      s.tab[volume_row][x_cols[j]] = 1.0;
-    }
-    s.basis.push_back(x_cols[position]);
-    s.rhs.push_back(t.volume);
-
-    // --- crash basis: task k alone in a new last column ------------------
-    pivot(volume_row, x_cols[position]);
-    pivot(l_row, l_col);
-    s.position_weights.push_back(t.weight);
-    s.tasks.push_back(task);
-    if (!solve) {
-      // Structure-only push (the caller wants a from-scratch value, e.g. a
-      // bit-reproducible leaf): the crash basis is already feasible, so the
-      // next solving push re-optimizes from it.
-      return 0.0;
-    }
-
-    // --- re-priced phase 2 -----------------------------------------------
-    costs_.assign(s.cols, 0.0);
-    double suffix_weight = 0.0;
-    for (std::size_t j = s.position_weights.size(); j-- > 0;) {
-      suffix_weight += s.position_weights[j];
-      costs_[s.l_col[j]] = suffix_weight;
-    }
-    if (!optimize()) {
-      return resolve_from_scratch();
-    }
     double objective = 0.0;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      objective += costs_[s.basis[i]] * s.rhs[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      objective += costs_[j] * lengths_[j];
     }
     return objective;
   }
 
-  void pop() {
-    MALSCHED_ASSERT(!snapshots_.empty());
-    state_ = std::move(snapshots_.back());
-    snapshots_.pop_back();
-  }
-
-  /// Ratio-test pivots made by phase 2 so far (crash pivots excluded).
   [[nodiscard]] std::size_t pivots() const noexcept { return pivots_; }
+  [[nodiscard]] std::size_t max_flows() const noexcept { return max_flows_; }
+  [[nodiscard]] std::size_t cut_rows() const noexcept { return cut_rows_; }
 
  private:
-  struct State {
-    std::vector<std::vector<double>> tab;  ///< rows over columns
-    std::vector<double> rhs;
-    std::vector<std::size_t> basis;        ///< per row: basic column
-    std::vector<std::size_t> cap_slack_col;  ///< per position
-    std::vector<std::size_t> l_col;          ///< per position
-    std::vector<double> position_weights;
-    std::vector<std::size_t> tasks;          ///< pushed prefix, for fallback
-    std::size_t cols = 0;
+  using Mask = std::uint64_t;
+  static constexpr std::size_t kMaxDepth = 64;
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  /// Rows one solve may separate; a stop here still leaves a lower bound.
+  static constexpr std::size_t kRowBudget = 32;
+  /// Primal feasibility of a row, relative to the prefix volume.
+  static constexpr double kFeasibilityTol = 1e-13;
+  /// Saturation slack of the separating flow, relative to max(1, ΣV);
+  /// above the LP's tolerance, so a violated set is never one it accepts.
+  static constexpr double kFlowTol = 1e-12;
+  /// Smallest tableau entry the dual ratio test pivots on.
+  static constexpr double kPivotTol = 1e-9;
 
-    [[nodiscard]] std::size_t rows() const noexcept { return tab.size(); }
-  };
-
-  static constexpr double kEps = 1e-9;
-  static constexpr double kSnap = 1e-12;
-
-  [[nodiscard]] static double snap(double v) noexcept {
-    return (v <= kSnap && v >= -kSnap) ? 0.0 : v;
+  [[nodiscard]] bool pooled(Mask set) const {
+    return std::find(row_sets_.begin(), row_sets_.end(), set) !=
+           row_sets_.end();
   }
 
-  std::size_t append_zero_column() {
-    for (auto& row : state_.tab) {
-      row.push_back(0.0);
+  /// Pools the row of position set `set`: coefficient min(P, Σ_{a∈S, a≥j}
+  /// δ_a) on L_j, right-hand side V(S).  Rows with V(S) = 0 hold for every
+  /// L >= 0 and are skipped (returns false).
+  bool add_pool_row(Mask set) {
+    double volume = 0.0;
+    for (Mask rest = set; rest != 0; rest &= rest - 1) {
+      volume += volumes_[static_cast<std::size_t>(std::countr_zero(rest))];
     }
-    return state_.cols++;
-  }
-
-  std::size_t append_column_copy(std::size_t source) {
-    for (auto& row : state_.tab) {
-      row.push_back(row[source]);
+    if (volume <= 0.0) {
+      return false;
     }
-    return state_.cols++;
+    row_sets_.push_back(set);
+    row_volumes_.push_back(volume);
+    row_coeffs_.resize(row_coeffs_.size() + stride_, 0.0);
+    double* coeffs = &row_coeffs_[row_coeffs_.size() - stride_];
+    double width = 0.0;
+    for (std::size_t j = 64 - static_cast<std::size_t>(std::countl_zero(set));
+         j-- > 0;) {
+      if ((set >> j) & 1u) {
+        width += widths_[j];
+      }
+      coeffs[j] = std::min(processors_, width);
+    }
+    return true;
   }
 
-  std::size_t append_row() {
-    state_.tab.emplace_back(state_.cols, 0.0);
-    return state_.rows() - 1;
-  }
-
-  /// Expresses a freshly appended row (coefficients *and* right-hand side)
-  /// in the current basis: one pass over the old rows suffices because
-  /// every reduced tableau row carries an identity on the basis columns.
-  void reduce_row_against_basis(std::size_t row) {
-    State& s = state_;
-    auto& target = s.tab[row];
-    for (std::size_t i = 0; i + 1 < s.rows(); ++i) {
-      const double factor = target[s.basis[i]];
-      if (factor == 0.0) {
+  /// Appends pool row `r` to the tableau, expressed in the current basis:
+  /// its surplus is basic, and every basic L_j is substituted out.
+  void append_tableau_row(std::size_t r) {
+    const std::size_t k = tasks_.size();
+    const double* coeffs = &row_coeffs_[r * stride_];
+    tab_.resize((rows_ + 1) * k);
+    double* row = &tab_[rows_ * k];
+    double beta = -row_volumes_[r];
+    for (std::size_t c = 0; c < k; ++c) {
+      row[c] = nonbasic_[c] < k ? coeffs[nonbasic_[c]] : 0.0;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t i = basic_row_[j];
+      const double factor = coeffs[j];
+      if (i == kNone || factor == 0.0) {
         continue;
       }
-      const auto& source = s.tab[i];
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        target[c] = snap(target[c] - factor * source[c]);
+      const double* source = &tab_[i * k];
+      for (std::size_t c = 0; c < k; ++c) {
+        row[c] += factor * source[c];
       }
-      target[s.basis[i]] = 0.0;
-      s.rhs[row] = snap(s.rhs[row] - factor * s.rhs[i]);
+      beta += factor * beta_[i];
     }
+    basic_.push_back(k + r);
+    beta_.push_back(beta);
+    ++rows_;
   }
 
-  /// Primal simplex on `costs_` from the current (feasible) basis.
-  /// Returns false when the iteration budget is exhausted.
-  bool optimize() {
-    State& s = state_;
-    reduced_ = costs_;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      const double cb = costs_[s.basis[i]];
-      if (cb == 0.0) {
-        continue;
-      }
-      const auto& row = s.tab[i];
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        if (row[c] != 0.0) {
-          reduced_[c] = snap(reduced_[c] - cb * row[c]);
-        }
-      }
-    }
-
-    const std::size_t cap = 50 * (s.rows() + s.cols) + 200;
-    const std::size_t bland_after = cap / 2;
-    for (std::size_t iteration = 0;; ++iteration) {
-      if (iteration >= cap) {
+  /// Dual simplex on the condensed tableau: basic x_B = β + α·x_N, objective
+  /// z = z0 + d·x_N with d >= 0 throughout.  Returns false when the
+  /// iteration budget runs out or a violated row has no entering column.
+  bool dual_simplex() {
+    const std::size_t k = tasks_.size();
+    for (;; ++iterations_) {
+      if (iterations_ >= iteration_cap_) {
         return false;
       }
-      const bool use_bland = iteration >= bland_after;
-      std::size_t entering = s.cols;
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        if (reduced_[c] >= -kEps) {
+      // Leaving row: the most violated one; Bland's lowest index once half
+      // the budget is gone, against cycling.
+      const bool use_bland = iterations_ >= iteration_cap_ / 2;
+      std::size_t leaving = kNone;
+      for (std::size_t i = 0; i < rows_; ++i) {
+        if (beta_[i] >= -feasibility_tol_) {
           continue;
         }
-        if (use_bland) {
-          entering = c;
-          break;
-        }
-        if (entering == s.cols || reduced_[c] < reduced_[entering]) {
-          entering = c;
+        if (leaving == kNone || (use_bland ? basic_[i] < basic_[leaving]
+                                           : beta_[i] < beta_[leaving])) {
+          leaving = i;
         }
       }
-      if (entering == s.cols) {
+      if (leaving == kNone) {
         return true;
       }
-
-      std::size_t leaving = s.rows();
-      for (std::size_t i = 0; i < s.rows(); ++i) {
-        const double coeff = s.tab[i][entering];
-        if (coeff <= kEps) {
+      // Entering column: min d_c / α_rc over α_rc > 0, the larger pivot on
+      // ties, then the lower variable id.
+      const double* row = &tab_[leaving * k];
+      std::size_t entering = kNone;
+      for (std::size_t c = 0; c < k; ++c) {
+        if (row[c] <= kPivotTol) {
           continue;
         }
-        if (leaving == s.rows()) {
-          leaving = i;
+        if (entering == kNone) {
+          entering = c;
           continue;
         }
-        const double lhs = s.rhs[i] * s.tab[leaving][entering];
-        const double rhs_cmp = s.rhs[leaving] * coeff;
-        if (lhs < rhs_cmp ||
-            (!(rhs_cmp < lhs) && s.basis[i] < s.basis[leaving])) {
-          leaving = i;
+        const double lhs = reduced_[c] * row[entering];
+        const double rhs = reduced_[entering] * row[c];
+        if (lhs < rhs ||
+            (!(rhs < lhs) &&
+             (row[c] > row[entering] ||
+              (row[c] == row[entering] &&
+               nonbasic_[c] < nonbasic_[entering])))) {
+          entering = c;
         }
       }
-      // Costs are suffix weights (non-negative), so the LP is bounded
-      // below; a missing leaving row would mean the basis drifted — treat
-      // as a failed warm start.
-      if (leaving == s.rows()) {
+      if (entering == kNone) {
         return false;
       }
       pivot(leaving, entering);
       ++pivots_;
-      const auto& pivot_row = s.tab[leaving];
-      const double cost_factor = reduced_[entering];
-      if (cost_factor != 0.0) {
-        for (std::size_t c = 0; c < s.cols; ++c) {
-          reduced_[c] = snap(reduced_[c] - cost_factor * pivot_row[c]);
-        }
-        reduced_[entering] = 0.0;
-      }
     }
   }
 
-  /// Makes `col` basic in `row`: the tableau and right-hand side only.
-  /// Reduced costs are phase 2's business (optimize updates them), so the
-  /// crash pivots of push() run before any pricing exists.
-  void pivot(std::size_t row, std::size_t col) {
-    State& s = state_;
-    auto& pivot_row = s.tab[row];
-    const double pivot_value = pivot_row[col];
-    for (double& v : pivot_row) {
-      v = snap(v / pivot_value);
+  /// Exchanges basic row `r` with nonbasic column `c`.
+  void pivot(std::size_t r, std::size_t c) {
+    const std::size_t k = tasks_.size();
+    double* prow = &tab_[r * k];
+    const double inverse = 1.0 / prow[c];
+    for (std::size_t j = 0; j < k; ++j) {
+      prow[j] = -prow[j] * inverse;
     }
-    s.rhs[row] = snap(s.rhs[row] / pivot_value);
-    pivot_row[col] = 1.0;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      if (i == row) {
+    prow[c] = inverse;
+    beta_[r] = -beta_[r] * inverse;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      if (i == r) {
         continue;
       }
-      const double factor = s.tab[i][col];
+      double* target = &tab_[i * k];
+      const double factor = target[c];
       if (factor == 0.0) {
         continue;
       }
-      auto& target = s.tab[i];
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        target[c] = snap(target[c] - factor * pivot_row[c]);
+      for (std::size_t j = 0; j < k; ++j) {
+        target[j] += factor * prow[j];
       }
-      target[col] = 0.0;
-      s.rhs[i] = snap(s.rhs[i] - factor * s.rhs[row]);
+      target[c] = factor * inverse;
+      beta_[i] += factor * beta_[r];
     }
-    s.basis[row] = col;
+    const double factor = reduced_[c];
+    if (factor != 0.0) {
+      for (std::size_t j = 0; j < k; ++j) {
+        // Clamped: a rounding-negative reduced cost would break the dual
+        // ratio test's invariant.
+        reduced_[j] = std::max(0.0, reduced_[j] + factor * prow[j]);
+      }
+    }
+    reduced_[c] = factor * inverse;
+    if (basic_[r] < k) {
+      basic_row_[basic_[r]] = kNone;
+    }
+    if (nonbasic_[c] < k) {
+      basic_row_[nonbasic_[c]] = r;
+    }
+    std::swap(basic_[r], nonbasic_[c]);
   }
 
-  /// Warm-start failure fallback: the tableau stays primal feasible (every
-  /// ratio-test pivot preserves feasibility), so future pushes remain
-  /// valid; only this node's value is recomputed exactly.
-  double resolve_from_scratch() {
-    return order_lp_objective(*instance_, state_.tasks);
+  void read_lengths() {
+    const std::size_t k = tasks_.size();
+    lengths_.resize(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t i = basic_row_[j];
+      lengths_[j] = i == kNone ? 0.0 : std::max(0.0, beta_[i]);
+    }
+  }
+
+  /// Max-flow of the current lengths on the staircase network: source →
+  /// position a (V_a) → column j <= a (δ_a·L_j) → sink (P·L_j).  Returns 0
+  /// when the flow carries ΣV up to `tol`; otherwise the positions reachable
+  /// from the source in the residual graph, a set whose row L violates.
+  /// A greedy flow (positions in order, each filling its latest column
+  /// first) leaves little for the BFS augmenting paths to route: on the
+  /// pinned n = 12 fixture 0.3 paths per flow, against 3.1 when each
+  /// position fills its earliest column first.
+  Mask violated_set(double tol) {
+    const std::size_t k = tasks_.size();
+    const double eps = 1e-15 * prefix_volume_;
+    flow_.assign(k * k, 0.0);  // flow_[a·k + j]
+    column_room_.resize(k);
+    supply_.resize(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      column_room_[j] = processors_ * lengths_[j];
+    }
+    double missing = 0.0;
+    for (std::size_t a = 0; a < k; ++a) {
+      double remaining = volumes_[a];
+      for (std::size_t j = a + 1; j-- > 0 && remaining > 0.0;) {
+        const double f = std::min(
+            remaining, std::min(widths_[a] * lengths_[j], column_room_[j]));
+        if (f > 0.0) {
+          flow_[a * k + j] = f;
+          column_room_[j] -= f;
+          remaining -= f;
+        }
+      }
+      supply_[a] = remaining;
+      missing += remaining;
+    }
+
+    task_parent_.resize(k);
+    column_parent_.resize(k);
+    queue_.resize(2 * k);
+    while (missing > tol) {
+      // BFS over the residual graph; queue entries are a (position) or
+      // k + j (column).
+      Mask seen_tasks = 0;
+      Mask seen_columns = 0;
+      std::size_t head = 0;
+      std::size_t tail = 0;
+      for (std::size_t a = 0; a < k; ++a) {
+        if (supply_[a] > eps) {
+          seen_tasks |= Mask{1} << a;
+          task_parent_[a] = kNone;
+          queue_[tail++] = a;
+        }
+      }
+      std::size_t sink_column = kNone;
+      while (head < tail && sink_column == kNone) {
+        const std::size_t node = queue_[head++];
+        if (node < k) {
+          const std::size_t a = node;
+          for (std::size_t j = 0; j <= a; ++j) {
+            if ((seen_columns >> j) & 1u ||
+                widths_[a] * lengths_[j] - flow_[a * k + j] <= eps) {
+              continue;
+            }
+            seen_columns |= Mask{1} << j;
+            column_parent_[j] = a;
+            if (column_room_[j] > eps) {
+              sink_column = j;
+              break;
+            }
+            queue_[tail++] = k + j;
+          }
+        } else {
+          const std::size_t j = node - k;
+          for (std::size_t a = j; a < k; ++a) {
+            if ((seen_tasks >> a) & 1u || flow_[a * k + j] <= eps) {
+              continue;
+            }
+            seen_tasks |= Mask{1} << a;
+            task_parent_[a] = j;
+            queue_[tail++] = a;
+          }
+        }
+      }
+      if (sink_column == kNone) {
+        return seen_tasks;
+      }
+      // Bottleneck along column ← position (← column ← position ...) ←
+      // source, then augment.
+      double amount = column_room_[sink_column];
+      std::size_t j = sink_column;
+      std::size_t a;
+      for (;;) {
+        a = column_parent_[j];
+        amount = std::min(amount, widths_[a] * lengths_[j] - flow_[a * k + j]);
+        if (task_parent_[a] == kNone) {
+          amount = std::min(amount, supply_[a]);
+          break;
+        }
+        j = task_parent_[a];
+        amount = std::min(amount, flow_[a * k + j]);
+      }
+      column_room_[sink_column] -= amount;
+      j = sink_column;
+      for (;;) {
+        a = column_parent_[j];
+        flow_[a * k + j] += amount;
+        if (task_parent_[a] == kNone) {
+          supply_[a] -= amount;
+          break;
+        }
+        j = task_parent_[a];
+        flow_[a * k + j] -= amount;
+      }
+      missing -= amount;
+    }
+    return 0;
   }
 
   const Instance* instance_;
   double processors_;
-  State state_;
-  std::vector<State> snapshots_;
+  std::size_t stride_;  ///< row_coeffs_ entries per pooled row
+
+  // Per position.
+  std::vector<std::size_t> tasks_;
+  std::vector<double> widths_;
+  std::vector<double> volumes_;
+  std::vector<double> weights_;
+
+  // Row pool; pool_marks_[d] is its size before the push to depth d + 1.
+  std::vector<Mask> row_sets_;
+  std::vector<double> row_volumes_;
+  std::vector<double> row_coeffs_;
+  std::vector<std::size_t> pool_marks_;
+
+  // Dual simplex state of the current solve.  Variable ids: L_j is j, the
+  // surplus of pool row r is k + r.
+  std::vector<double> tab_;  ///< rows_ × k, row-major
+  std::vector<double> beta_;
+  std::vector<std::size_t> basic_;
+  std::vector<std::size_t> nonbasic_;
+  std::vector<std::size_t> basic_row_;  ///< per L_j: its row, or kNone
   std::vector<double> costs_;
   std::vector<double> reduced_;
+  std::vector<double> lengths_;
+  std::size_t rows_ = 0;
+  std::size_t iterations_ = 0;
+  std::size_t iteration_cap_ = 0;
+  double prefix_volume_ = 0.0;
+  double feasibility_tol_ = 0.0;
+
+  // Max-flow scratch.
+  std::vector<double> flow_;
+  std::vector<double> column_room_;
+  std::vector<double> supply_;
+  std::vector<std::size_t> task_parent_;
+  std::vector<std::size_t> column_parent_;
+  std::vector<std::size_t> queue_;
+
   std::size_t pivots_ = 0;
+  std::size_t max_flows_ = 0;
+  std::size_t cut_rows_ = 0;
 };
 
 }  // namespace detail
 
 OrderLpEvaluator::OrderLpEvaluator(const Instance& instance)
     : instance_(&instance),
-      lp_(std::make_unique<detail::IncrementalOrderLp>(instance)) {
+      lp_(std::make_unique<detail::CoveringOrderLp>(instance)) {
   const std::size_t n = instance.size();
   prefix_.reserve(n);
   objectives_.reserve(n);
@@ -553,18 +699,12 @@ double OrderLpEvaluator::push(std::size_t task, bool exact) {
       "task already in the prefix");
   prefix_.push_back(task);
   ++lp_evaluations_;
-  double objective;
-  if (exact) {
-    // An exact push re-solves from scratch so the reported objective is
-    // bit-identical with order_lp_objective for the same prefix.  The
-    // incremental state is still extended (snapshot, appended rows and
-    // columns, crash basis, no re-optimization), so pop() and deeper
-    // pushes stay consistent: the crash basis is feasible by itself.
-    lp_->push(task, /*solve=*/false);
-    objective = order_lp_objective(*instance_, prefix_);
-  } else {
-    objective = lp_->push(task);
-  }
+  // An exact push extends the kernel's structure (position and singleton
+  // row) without solving, and reports the from-scratch value, bit-identical
+  // with order_lp_objective for the same prefix.
+  lp_->append(task);
+  const double objective =
+      exact ? order_lp_objective(*instance_, prefix_) : lp_->solve();
   if (!std::isfinite(objective)) {
     // Only a from-scratch solve that missed optimality (the exact path or
     // the warm path's fallback) yields a non-finite value.
@@ -589,6 +729,14 @@ void OrderLpEvaluator::pop() {
 
 std::size_t OrderLpEvaluator::pivots() const noexcept {
   return lp_->pivots();
+}
+
+std::size_t OrderLpEvaluator::max_flows() const noexcept {
+  return lp_->max_flows();
+}
+
+std::size_t OrderLpEvaluator::cut_rows() const noexcept {
+  return lp_->cut_rows();
 }
 
 double OrderLpEvaluator::objective() const noexcept {

@@ -348,6 +348,40 @@ TEST(Bnb, DominanceCollapsesIdenticalTasks) {
   EXPECT_TRUE(std::is_sorted(res.order.begin(), res.order.end()));
 }
 
+TEST(Bnb, DuplicateIncumbentSeedsAreSolvedOnce) {
+  // Eight identical tasks: every seed order (four priority orders, two
+  // greedy completion orders) is the identity, so only the first seed is
+  // solved.  Every other LP is a search node or a leaf re-solve.
+  const mc::Instance inst(4.0, std::vector<mc::Task>(8, {1.0, 1.0, 1.0}));
+  const auto res = mc::branch_and_bound(inst);
+  EXPECT_EQ(res.stats.lp_evaluations,
+            res.stats.nodes + res.stats.leaf_resolves + 1);
+  EXPECT_NEAR(res.objective, 4.0 * 1.0 + 4.0 * 2.0, 1e-7);
+}
+
+TEST(Bnb, PinnedUniformN12FixtureKeepsItsTree) {
+  // bench_bnb's CI fixture (uniform, n = 12, P = 4, seed 42), pinned so
+  // that a change to the warm-push kernel shows whether it changed the
+  // search or only its speed: the tree depends on warm values only through
+  // prune and re-solve decisions, and the objective is a from-scratch
+  // leaf value.
+  ms::Rng rng(42);
+  mc::GeneratorConfig config;
+  config.family = mc::Family::Uniform;
+  config.num_tasks = 12;
+  config.processors = 4.0;
+  const auto inst = mc::generate(config, rng);
+  const auto res = mc::branch_and_bound(inst);
+  EXPECT_EQ(res.stats.nodes, 15929u);
+  EXPECT_EQ(res.stats.leaves, 21u);
+  EXPECT_EQ(res.stats.leaf_resolves, 2u);
+  EXPECT_EQ(res.stats.pruned_by_bound, 34464u);
+  EXPECT_EQ(res.stats.lp_failures, 0u);
+  EXPECT_EQ(res.objective, 0x1.58e3155bbb644p+1);
+  EXPECT_EQ(res.order, (std::vector<std::size_t>{11, 9, 6, 4, 3, 5, 8, 2, 7,
+                                                 0, 10, 1}));
+}
+
 TEST(Bnb, DominancePinsZeroVolumeFirstAndZeroWeightLast) {
   // Task 1 has zero volume (completes at 0), task 3 zero weight (free to
   // finish last); dominance prunes every order violating either pin.
@@ -399,9 +433,9 @@ TEST(BnbDeath, RefusesInstancesBeyondTheGuard) {
 namespace {
 
 /// Random push/pop walk that checks every push against a from-scratch
-/// solve of the same prefix.  About one push in five is structure-only
-/// (exact = true): it leaves the crash basis un-optimized, and the next
-/// warm push must start phase 2 from it.
+/// solve of the same prefix.  About one push in five is exact: it extends
+/// the evaluator's structure without a warm solve, and the next warm push
+/// must solve on top of it.
 void check_warm_walk(const mc::Instance& inst, std::uint64_t seed,
                      const std::string& label) {
   mc::OrderLpEvaluator evaluator(inst);
@@ -462,11 +496,86 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, OrderLpEvaluatorWalk,
                            return name;
                          });
 
+namespace {
+
+/// Dives to full depth along a random order, pops back to a random depth
+/// and dives again, checking every warm push against a from-scratch solve.
+/// Deep prefixes are where the row pool is largest and separation works
+/// hardest.
+void check_deep_walk(const mc::Instance& inst, std::uint64_t seed,
+                     const std::string& label) {
+  mc::OrderLpEvaluator evaluator(inst);
+  ms::Rng walk(seed);
+  std::vector<std::size_t> prefix;
+  for (int dive = 0; dive < 2; ++dive) {
+    while (prefix.size() < inst.size()) {
+      std::size_t task;
+      do {
+        task = static_cast<std::size_t>(
+            walk.uniform_int(0, static_cast<std::int64_t>(inst.size()) - 1));
+      } while (std::find(prefix.begin(), prefix.end(), task) != prefix.end());
+      prefix.push_back(task);
+      const double incremental = evaluator.push(task, /*exact=*/false);
+      EXPECT_LT(relative_gap(incremental, mc::order_lp_objective(inst, prefix)),
+                1e-9)
+          << label << " depth " << prefix.size();
+    }
+    const auto keep = static_cast<std::size_t>(walk.uniform_int(
+        static_cast<std::int64_t>(inst.size() / 3),
+        static_cast<std::int64_t>(inst.size()) - 1));
+    while (prefix.size() > keep) {
+      prefix.pop_back();
+      evaluator.pop();
+    }
+  }
+  EXPECT_EQ(evaluator.lp_failures(), 0u) << label;
+}
+
+}  // namespace
+
+// Sizes up to the B&B guard, P from 1 to 64, and volumes scaled by 1e-4 and
+// 1e5: the covering kernel's tolerances are relative to the prefix volume,
+// so every scale must stay within 1e-9 of the from-scratch compact LP.
+class OrderLpEvaluatorStress : public ::testing::TestWithParam<mc::Family> {};
+
+TEST_P(OrderLpEvaluatorStress, WarmPushesMatchScratchAcrossSizesWidthsAndScales) {
+  const mc::Family family = GetParam();
+  ms::Rng rng(500 + static_cast<std::uint64_t>(family));
+  std::uint64_t walk_seed = 0;
+  for (const std::size_t n : {std::size_t{10}, std::size_t{14}, std::size_t{18}}) {
+    for (const double processors : {1.0, 2.0, 8.0, 64.0}) {
+      for (const double scale : {1e-4, 1.0, 1e5}) {
+        mc::GeneratorConfig config;
+        config.family = family;
+        config.num_tasks = n;
+        config.processors = processors;
+        const auto drawn = mc::generate(config, rng);
+        std::vector<double> volumes;
+        for (const auto& task : drawn.tasks()) {
+          volumes.push_back(task.volume * scale);
+        }
+        check_deep_walk(drawn.with_volumes(volumes), ++walk_seed,
+                        std::string(mc::family_name(family)) + " n " +
+                            std::to_string(n) + " P " +
+                            std::to_string(processors) + " scale " +
+                            std::to_string(scale));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, OrderLpEvaluatorStress,
+                         ::testing::ValuesIn(mc::all_families()),
+                         [](const auto& info) {
+                           std::string name = mc::family_name(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
 TEST(OrderLpEvaluator, WarmStartedPushHandlesEdgeTasks) {
-  // Each edge task shapes the crash basis differently: δ ≥ P has no width
-  // rows, so L_k turns basic in the capacity row (δ = P exactly, too);
-  // zero volume makes the crash basis degenerate (x_{k,k} = L_k = 0); zero
-  // weight adds nothing to the earlier suffix costs.
+  // Each edge task shapes the order LP differently: δ ≥ P (δ = P exactly,
+  // too) caps its covering-row coefficients at P; zero volume adds no row
+  // at all; zero weight adds nothing to the earlier suffix costs.
   const mc::Instance inst(3.0, {{1.5, 4.0, 1.0},
                                 {0.0, 1.0, 2.0},
                                 {2.0, 2.0, 0.0},

@@ -128,6 +128,20 @@ TEST(Registry, OptimalServesMidSizeInstancesViaBranchAndBound) {
   EXPECT_EQ(result.completions().size(), 12u);
 }
 
+TEST(Registry, OptimalCostHintTracksBranchAndBoundAtSmallN) {
+  // Priority admission ranks requests by these hints.  A small exact solve
+  // takes well under a millisecond, so it must not be charged like a long
+  // one: an n = 5 `optimal` is cheaper than an n = 24 order LP.
+  const auto registry = msvc::SolverRegistry::with_default_solvers();
+  EXPECT_LT(registry.estimated_seconds("optimal", 5),
+            registry.estimated_seconds("order-lp-smith", 24));
+  for (std::size_t n = 1; n <= 18; ++n) {
+    EXPECT_LT(registry.estimated_seconds("optimal", n - 1),
+              registry.estimated_seconds("optimal", n))
+        << "n " << n;
+  }
+}
+
 TEST(Registry, UnknownSolverIsAnErrorNotACrash) {
   const auto registry = msvc::SolverRegistry::with_default_solvers();
   const auto result = registry.solve("no-such-solver", small_instance());
